@@ -65,6 +65,9 @@ def load_checkpoint(path):
         manifest = json.loads(raw[16:16 + blob_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"corrupt manifest: {e}") from None
+    for key in ("config", "arrays"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise CheckpointError(f"{path}: manifest has no {key!r}")
     config = RunConfig.from_dict(manifest["config"])
     payload = raw[16 + blob_len:]
     arrays = {}

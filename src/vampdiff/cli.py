@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,10 +15,17 @@ import numpy as np
 
 from . import evaluation as ev
 from . import signal as sg
-from .checkpoint import load_checkpoint, load_model, save_checkpoint
+from .checkpoint import (
+    CheckpointError,
+    load_checkpoint,
+    load_model,
+    save_checkpoint,
+)
 from .config import ConfigError, RunConfig, desk_config
 from .model import generate as model_generate
-from .train import RRNet, build_model, fit, train_rr_estimator
+from .model.prior import PriorError
+from .model.sampler import SamplerError
+from .train import RRNet, TrainError, build_model, fit, train_rr_estimator
 
 
 class IngestError(Exception):
@@ -75,6 +83,9 @@ def _parse_csv(path: Path, fs: float | None) -> Recording:
                     co2.append(float(row[co2_col]))
             except ValueError:
                 raise IngestError(f"{path}:{lineno}: non-numeric cell")
+            if not math.isfinite(ppg[-1]) or (
+                    co2 and not math.isfinite(co2[-1])):
+                raise IngestError(f"{path}:{lineno}: non-finite cell")
     if not ppg:
         raise IngestError(f"{path}: no samples")
     return Recording(
@@ -469,6 +480,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (IngestError, ConfigError, sg.SignalError, ev.EvalError,
+            CheckpointError, SamplerError, PriorError, TrainError,
             FileNotFoundError, json.JSONDecodeError) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return 1

@@ -331,7 +331,13 @@ def conv1d(
     dilation: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """Cross-correlation of x[B,Cin,L] with kernel[Cout,Cin,K] -> [B,Cout,L']."""
+    """Cross-correlation of x[B,Cin,L] with kernel[Cout,Cin,K] -> [B,Cout,L'].
+
+    Computed as a sum over the K taps: tap k is a strided view of the
+    padded input, ``xp[:, :, k*dilation :: stride]`` cut to L' columns, and
+    contributes ``kernel[:, :, k] @ tap``.  The backward pass uses the same
+    views, so no im2col buffer is built or kept.
+    """
     if x.ndim != 3 or kernel.ndim != 3 or bias.ndim != 1:
         raise DimensionError(
             f"conv1d expects 3-D input/kernel and 1-D bias, got "
@@ -357,32 +363,30 @@ def conv1d(
     L_out = (L + 2 * padding - span) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    idx = np.arange(L_out)[:, None] * stride + np.arange(K)[None, :] * dilation
-    windows = xp[:, :, idx]  # [B, Cin, L_out, K]
-    # contract (Cin, K) against the kernel via BLAS: [B, L_out, Cin*K] @
-    # [Cin*K, Cout] -> [B, L_out, Cout]
-    w2 = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-        B, L_out, cin * K)
-    k2 = kernel.data.reshape(cout, cin * K)
-    val = (w2 @ k2.T).transpose(0, 2, 1) + bias.data[None, :, None]
+    last = (L_out - 1) * stride + 1
+    taps = [xp[:, :, k * dilation:k * dilation + last:stride] for k in range(K)]
+    val = kernel.data[:, :, 0] @ taps[0]  # [B, Cout, L_out]
+    for k in range(1, K):
+        val += kernel.data[:, :, k] @ taps[k]
+    val += bias.data[None, :, None]
 
     def factory(out):
         def backward():
             g = out.grad  # [B, Cout, L_out]
-            g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(
-                B * L_out, cout)
-            accumulate(kernel,
-                       (g2.T @ w2.reshape(B * L_out, cin * K)).reshape(
-                           cout, cin, K))
+            # per tap: sum over (B, L_out) of g x tap, as one GEMM
+            g2 = g.transpose(1, 0, 2).reshape(cout, B * L_out)
+            gk = np.empty((cout, cin, K))
+            for k in range(K):
+                gk[:, :, k] = g2 @ taps[k].transpose(0, 2, 1).reshape(
+                    B * L_out, cin)
+            accumulate(kernel, gk)
             accumulate(bias, g.sum(axis=(0, 2)))
             if x.requires_grad:
-                contrib = (g2 @ k2).reshape(B, L_out, cin, K).transpose(
-                    0, 2, 1, 3)  # [B, Cin, L_out, K]
                 gxp = np.zeros((B, cin, L + 2 * padding))
                 for k in range(K):
                     start = k * dilation
-                    gxp[:, :, start:start + (L_out - 1) * stride + 1:stride] \
-                        += contrib[:, :, :, k]
+                    gxp[:, :, start:start + last:stride] += \
+                        kernel.data[:, :, k].T @ g
                 gx = gxp[:, :, padding:padding + L] if padding else gxp
                 accumulate(x, gx)
         return backward

@@ -56,6 +56,15 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"a\.csv:4"):
             ingest(p)
 
+    @pytest.mark.parametrize("cells", ["ppg\n0.0\nnan\n",
+                                       "ppg,co2\n0.0,1.0\n1.0,inf\n",
+                                       "ppg\n0.0\n-inf\n"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cells):
+        p = tmp_path / "a.csv"
+        p.write_text("# fs=75\n" + cells)
+        with pytest.raises(IngestError, match=r"a\.csv:4: non-finite cell"):
+            ingest(p)
+
     def test_missing_fs_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("ppg\n0.0\n")
@@ -137,6 +146,16 @@ class TestCommands:
                    "--num", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "ERROR" in capsys.readouterr().err
+
+    def test_junk_checkpoint_is_a_clean_error(self, tmp_path, capsys):
+        junk = tmp_path / "junk.vdp"
+        junk.write_bytes(b"not a checkpoint at all")
+        rc = main(["generate", "--ckpt", str(junk), "--num", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and "junk.vdp" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_config_round_trip_fixed_point(self, tmp_path):
         cfg = desk_config()

@@ -1,4 +1,6 @@
 """Optimizer, training-step, persistence, and determinism tests."""
+import json
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,20 @@ class TestCheckpoint:
         p = tmp_path / "junk.vdp"
         p.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key", ["config", "arrays"])
+    def test_manifest_missing_key_rejected(self, tmp_path, key):
+        p = tmp_path / "model.vdp"
+        save_checkpoint(p, tiny_config(), {"w": np.zeros(2)})
+        raw = p.read_bytes()
+        blob_len = int.from_bytes(raw[8:16], "little")
+        manifest = json.loads(raw[16:16 + blob_len])
+        del manifest[key]
+        blob = json.dumps(manifest).encode()
+        p.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                      + raw[16 + blob_len:])
+        with pytest.raises(CheckpointError, match=key):
             load_checkpoint(p)
 
 
