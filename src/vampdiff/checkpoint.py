@@ -71,19 +71,35 @@ def load_checkpoint(path):
     config = RunConfig.from_dict(manifest["config"])
     payload = raw[16 + blob_len:]
     arrays = {}
+    end = 0
     for entry in manifest["arrays"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start != end:
+            raise CheckpointError(f"{path}: array {entry['name']!r} at offset "
+                                  f"{start}, expected {end}")
         end = start + 4 * count
         if end > len(payload):
             raise CheckpointError(f"truncated payload for {entry['name']!r}")
         arrays[entry["name"]] = np.frombuffer(
             payload[start:end], dtype="<f4").reshape(shape).astype(np.float64)
+    if end != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - end} bytes after the "
+                              "last array")
     ns = manifest.get("norm_stats")
     norm_stats = None if ns is None else NormStats(ns["mu_train"],
                                                   ns["sigma_train"])
     return config, arrays, norm_stats, manifest.get("meta", {})
+
+
+def load_params(module, arrays: dict, path) -> None:
+    """Copy checkpoint arrays into ``module``'s parameters; a missing or
+    mis-shaped parameter is a :class:`CheckpointError`."""
+    try:
+        module.load_state_arrays(arrays)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"{path}: {e.args[0]}") from None
 
 
 def save_model(path, model, meta: dict | None = None) -> None:
@@ -96,6 +112,6 @@ def load_model(path):
     from .model import VampDiffModel
     config, arrays, norm_stats, meta = load_checkpoint(path)
     model = VampDiffModel(config)
-    model.load_state_arrays(arrays)
+    load_params(model, arrays, path)
     model.norm_stats = norm_stats
     return model, meta

@@ -19,12 +19,14 @@ from .checkpoint import (
     CheckpointError,
     load_checkpoint,
     load_model,
+    load_params,
     save_checkpoint,
 )
 from .config import ConfigError, RunConfig, desk_config
 from .model import generate as model_generate
 from .model.prior import PriorError
 from .model.sampler import SamplerError
+from .model.schedule import ScheduleError
 from .train import RRNet, TrainError, build_model, fit, train_rr_estimator
 
 
@@ -167,11 +169,8 @@ def load_windows(data_dir, config: RunConfig):
         wins = sg.segment(
             rec.ppg, rec.fs, config.window_len, config.overlap_frac,
             quality_min_peaks=config.quality_min_peaks,
-            source_id=rec.rec_id,
-            band=(config.band_lo_hz, config.band_hi_hz),
-            peak_params=(config.peak_min_distance_s,
-                         config.peak_prominence_frac,
-                         config.peak_height_percentile))
+            source_id=rec.rec_id, band=config.band,
+            peak_params=config.peak_params)
         for w in wins:
             windows.append(w)
             label = None
@@ -187,11 +186,6 @@ def load_windows(data_dir, config: RunConfig):
 def norm_stats_of(windows) -> sg.NormStats:
     data = np.concatenate([w.samples for w in windows])
     return sg.NormStats(float(data.mean()), float(data.std()))
-
-
-def _normalized_matrix(windows, stats: sg.NormStats) -> np.ndarray:
-    return np.stack([(w.samples - stats.mu_train) / stats.sigma_train
-                     for w in windows])
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +211,7 @@ def cmd_train(args) -> int:
     train_windows, train_labels = load_windows(Path(args.data) / "train",
                                                config)
     stats = norm_stats_of(train_windows)
-    xn = _normalized_matrix(train_windows, stats)
+    xn = stats.normalize(np.stack([w.samples for w in train_windows]))
     norm_windows = [sg.SignalWindow(row, config.fs) for row in xn]
     model = build_model(config, train_windows=norm_windows, norm_stats=stats)
     out = Path(args.out)
@@ -241,11 +235,8 @@ def cmd_train(args) -> int:
 
 def _load_rr_net(path) -> RRNet:
     config, arrays, _, _ = load_checkpoint(path)
-    dilations = tuple(2 ** i for i in range(len(config.rr_widths)))
-    net = RRNet(stem_channels=config.rr_stem_channels,
-                widths=config.rr_widths, dilations=dilations,
-                groups=config.groupnorm_groups)
-    net.load_state_arrays(arrays)
+    net = RRNet.from_config(config)
+    load_params(net, arrays, path)
     return net
 
 
@@ -480,8 +471,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (IngestError, ConfigError, sg.SignalError, ev.EvalError,
-            CheckpointError, SamplerError, PriorError, TrainError,
-            FileNotFoundError, json.JSONDecodeError) as e:
+            CheckpointError, SamplerError, PriorError, ScheduleError,
+            TrainError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return 1
 

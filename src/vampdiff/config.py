@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -91,6 +91,10 @@ class RunConfig:
             raise ConfigError("latent_len must equal window_len / 4")
         if self.latent_len % self.pooled_len != 0:
             raise ConfigError("latent_len must be divisible by pooled_len")
+        if self.diffusion_steps < 2:
+            raise ConfigError("diffusion_steps must be >= 2")
+        if not 1 <= self.ddim_steps <= self.diffusion_steps:
+            raise ConfigError("ddim_steps must be in 1..diffusion_steps")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs > 0 and self.freeze_epochs >= self.epochs:
@@ -115,6 +119,18 @@ class RunConfig:
     def encoder_widths(self) -> tuple[int, int, int]:
         return tuple(max(4, int(round(c * self.width_factor)))
                      for c in (64, 128, 256))
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """(lo, hi) Hz of the bandpass applied before peak detection."""
+        return (self.band_lo_hz, self.band_hi_hz)
+
+    @property
+    def peak_params(self) -> tuple[float, float, float]:
+        """Positional (min_distance_s, prominence_frac, height_percentile)
+        of :func:`vampdiff.signal.detect_peaks`."""
+        return (self.peak_min_distance_s, self.peak_prominence_frac,
+                self.peak_height_percentile)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -179,7 +195,3 @@ def desk_config(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base)
-
-
-def full_config(**overrides) -> RunConfig:
-    return RunConfig(**overrides)

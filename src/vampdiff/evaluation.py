@@ -75,7 +75,7 @@ def _check_binary(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels).astype(int).ravel()
     if not set(np.unique(labels)) <= {0, 1}:
         raise EvalError("labels must be 0/1")
-    if labels.min() == labels.max():
+    if labels.size == 0 or labels.min() == labels.max():
         raise EvalError("both classes must be present")
     return labels
 
@@ -136,15 +136,16 @@ def tpr_at_fpr(scores: np.ndarray, labels: np.ndarray,
 # reconstruction
 # ----------------------------------------------------------------------
 
+def _peaks_of(window: sg.SignalWindow, config) -> sg.PeakSet:
+    return sg.detect_peaks(sg.bandpass(window, *config.band),
+                           *config.peak_params)
+
+
 def _hr_of(window: sg.SignalWindow, config) -> tuple | None:
-    filt = sg.bandpass(window, config.band_lo_hz, config.band_hi_hz)
-    peaks = sg.detect_peaks(filt, config.peak_min_distance_s,
-                            config.peak_prominence_frac,
-                            config.peak_height_percentile)
+    peaks = _peaks_of(window, config)
     if len(peaks) < 2:
         return None
-    hr, ibi = sg.estimate_hr(peaks, window.fs)
-    return hr, ibi
+    return sg.estimate_hr(peaks, window.fs)
 
 
 def recon_metrics(x0: sg.SignalWindow, xhat: sg.SignalWindow, config) -> dict:
@@ -196,9 +197,7 @@ def reconstruction_report(model, windows: list[sg.SignalWindow],
     if model.norm_stats is None:
         raise EvalError("model has no normalization stats")
     report = ReconReport()
-    xs = np.stack([w.samples for w in windows])
-    ns = model.norm_stats
-    xn = (xs - ns.mu_train) / ns.sigma_train
+    xn = model.norm_stats.normalize(np.stack([w.samples for w in windows]))
     for start in range(0, len(windows), batch_size):
         batch = xn[start:start + batch_size][:, None, :]
         recon = _reconstruct(model, batch, seed=seed + start)
@@ -240,8 +239,7 @@ def anomaly_scores(x0: sg.SignalWindow, model,
     both on denormalized signals."""
     if model.norm_stats is None:
         raise EvalError("model has no normalization stats")
-    ns = model.norm_stats
-    xn = ((x0.samples - ns.mu_train) / ns.sigma_train)[None, None, :]
+    xn = model.norm_stats.normalize(x0.samples)[None, None, :]
     recon = _reconstruct(model, xn, seed=seed)[0, 0]
     mae = float(np.abs(x0.samples - recon).mean())
     corr = 1.0 - pearson(x0.samples, recon)
@@ -255,29 +253,18 @@ class AnomalyReport:
     tpr5_mae: float
     auroc_corr: float
     per_kind: dict
-    spearman_input_recon: float | None = None
 
 
 def anomaly_report(model, clean: list[sg.SignalWindow],
                    corrupted: list[tuple[str, sg.SignalWindow]],
                    seed: int = 0) -> AnomalyReport:
     """Score clean vs corrupted windows by reconstruction error."""
-    scores_mae, scores_corr, labels, kinds = [], [], [], []
-    for i, w in enumerate(clean):
-        m, c = anomaly_scores(w, model, seed=seed + i)
-        scores_mae.append(m)
-        scores_corr.append(c)
-        labels.append(0)
-        kinds.append("clean")
-    for i, (kind, w) in enumerate(corrupted):
-        m, c = anomaly_scores(w, model, seed=seed + len(clean) + i)
-        scores_mae.append(m)
-        scores_corr.append(c)
-        labels.append(1)
-        kinds.append(kind)
-    scores_mae = np.array(scores_mae)
-    scores_corr = np.array(scores_corr)
-    labels = np.array(labels)
+    scored = [("clean", w) for w in clean] + list(corrupted)
+    kinds = [kind for kind, _ in scored]
+    labels = np.array([0] * len(clean) + [1] * len(corrupted))
+    scores = np.array([anomaly_scores(w, model, seed=seed + i)
+                       for i, (_, w) in enumerate(scored)]).reshape(-1, 2)
+    scores_mae, scores_corr = scores[:, 0], scores[:, 1]
     per_kind = {}
     for kind in sorted({k for k in kinds if k != "clean"}):
         mask = np.array([k in ("clean", kind) for k in kinds])
@@ -317,12 +304,8 @@ class GenReport:
 
 def _window_stats(samples: np.ndarray, fs: float, config):
     w = sg.SignalWindow(np.asarray(samples, dtype=np.float64), fs)
-    res = _hr_of(w, config)
-    filt = sg.bandpass(w, config.band_lo_hz, config.band_hi_hz)
-    peaks = sg.detect_peaks(filt, config.peak_min_distance_s,
-                            config.peak_prominence_frac,
-                            config.peak_height_percentile)
-    hr = res[0] if res is not None else None
+    peaks = _peaks_of(w, config)
+    hr = sg.estimate_hr(peaks, fs)[0] if len(peaks) >= 2 else None
     return hr, float(np.ptp(w.samples)), float(w.samples.std()), len(peaks)
 
 
@@ -390,9 +373,7 @@ def rr_consistency(windows: list[sg.SignalWindow], labels: list,
         raise EvalError("windows and labels must align")
     if model.norm_stats is None:
         raise EvalError("model has no normalization stats")
-    ns = model.norm_stats
-    xs = np.stack([w.samples for w in windows])
-    xn = (xs - ns.mu_train) / ns.sigma_train
+    xn = model.norm_stats.normalize(np.stack([w.samples for w in windows]))
     recs = []
     for start in range(0, len(windows), batch_size):
         batch = xn[start:start + batch_size]
@@ -431,11 +412,11 @@ def interpolation_sweep(x_lo: sg.SignalWindow, x_hi: sg.SignalWindow,
             raise EvalError(f"{name} has no detectable heart rate")
     if model.norm_stats is None:
         raise EvalError("model has no normalization stats")
-    ns = model.norm_stats
-    a = (x_lo.samples - ns.mu_train) / ns.sigma_train
-    b = (x_hi.samples - ns.mu_train) / ns.sigma_train
     alphas = sorted(float(x) for x in np.atleast_1d(alphas))
-    decoded = interpolate_latent(model, a, b, np.asarray(alphas), seed=seed)
+    ns = model.norm_stats
+    decoded = interpolate_latent(model, ns.normalize(x_lo.samples),
+                                 ns.normalize(x_hi.samples),
+                                 np.asarray(alphas), seed=seed)
     out = []
     for i, alpha in enumerate(alphas):
         res = _hr_of(sg.SignalWindow(decoded[i, 0], model.config.fs),

@@ -37,7 +37,6 @@ class Encoder(ParamModule):
         w1, w2, w3 = widths
         self.latent_channels = latent_channels
         self.groups = groups
-        self.w = {}
         spec = [
             ("conv1", 1, w1, 5),
             ("conv2", w1, w2, 5),

@@ -51,6 +51,16 @@ def seeded_noise(shape: tuple, seed: int, index: int = 0) -> np.ndarray:
     return np.random.default_rng((seed, index)).standard_normal(shape)
 
 
+def _decode(model, z: Tensor, x_T: np.ndarray, denorm: bool) -> np.ndarray:
+    """DDIM-decode ``x_T`` under latent ``z``; in original units when
+    ``denorm`` and the model carries normalization stats."""
+    out = ddim_sample(model.predict_x0, model.schedule, z, x_T,
+                      model.config.ddim_steps)
+    if denorm and model.norm_stats is not None:
+        out = model.norm_stats.denormalize(out)
+    return out
+
+
 def reconstruct(model, x: np.ndarray, seed: int = 0,
                 denorm: bool = True) -> np.ndarray:
     """Encode each window to its posterior mean and run the reverse pass.
@@ -64,11 +74,7 @@ def reconstruct(model, x: np.ndarray, seed: int = 0,
         post = model.encode(Tensor(x))
         z = post.mu
     x_T = np.stack([seeded_noise((1, L), seed, i) for i in range(B)])
-    out = ddim_sample(model.predict_x0, model.schedule, z, x_T,
-                      model.config.ddim_steps)
-    if denorm and model.norm_stats is not None:
-        out = out * model.norm_stats.sigma_train + model.norm_stats.mu_train
-    return out
+    return _decode(model, z, x_T, denorm)
 
 
 def generate(model, n: int, seed: int = 0, batch_size: int = 32,
@@ -91,12 +97,8 @@ def generate(model, n: int, seed: int = 0, batch_size: int = 32,
         z = Tensor(mu + np.exp(0.5 * logvar) * eps)
         x_T = np.stack([seeded_noise((1, L), seed, start + i)
                         for i in range(len(sel))])
-        outs.append(ddim_sample(model.predict_x0, model.schedule, z, x_T,
-                                model.config.ddim_steps))
-    out = np.concatenate(outs, axis=0)
-    if denorm and model.norm_stats is not None:
-        out = out * model.norm_stats.sigma_train + model.norm_stats.mu_train
-    return out
+        outs.append(_decode(model, z, x_T, denorm))
+    return np.concatenate(outs, axis=0)
 
 
 def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
@@ -120,8 +122,4 @@ def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
     z = Tensor(np.stack([(1 - a) * za + a * zb for a in alphas]))
     L = pair.shape[2]
     x_T = np.repeat(seeded_noise((1, 1, L), seed), alphas.size, axis=0)
-    out = ddim_sample(model.predict_x0, model.schedule, z, x_T,
-                      model.config.ddim_steps)
-    if denorm and model.norm_stats is not None:
-        out = out * model.norm_stats.sigma_train + model.norm_stats.mu_train
-    return out
+    return _decode(model, z, x_T, denorm)

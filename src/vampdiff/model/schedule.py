@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, add, scale
+from ..numcore import Tensor, add, mul
 
 
 class ScheduleError(Exception):
@@ -69,14 +69,23 @@ class DiffusionSchedule:
             raise ScheduleError(f"t={t} outside 1..{self.T}")
 
 
-def forward_diffuse(x0: Tensor, t: int, eps: Tensor,
+def forward_diffuse(x0: Tensor, t, eps: Tensor,
                     sched: DiffusionSchedule) -> Tensor:
-    """x_t = sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps."""
-    sched._check_t(t)
+    """x_t = sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps.
+
+    ``t`` is one timestep or a [B] array of them, one per row of x0.
+    """
+    t = np.asarray(t)
+    if t.ndim > 1 or (t.ndim == 1 and t.size != x0.shape[0]):
+        raise ScheduleError(f"t shape {t.shape} does not match x0 {x0.shape}")
+    for ti in t.flat:
+        sched._check_t(ti)
     if eps.shape != x0.shape:
         raise ScheduleError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    ab = sched.alpha_bar(t)
-    return add(scale(x0, np.sqrt(ab)), scale(eps, np.sqrt(1.0 - ab)))
+    ab = np.array([sched.alpha_bar(int(ti)) for ti in t.flat]).reshape(
+        t.shape + (1,) * (x0.ndim - t.ndim))
+    return add(mul(x0, Tensor(np.sqrt(ab))),
+               mul(eps, Tensor(np.sqrt(1.0 - ab))))
 
 
 def posterior_mean_exact(x_t: np.ndarray, x0: np.ndarray, t: int,

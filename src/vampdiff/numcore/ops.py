@@ -284,17 +284,6 @@ def rstd(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     return make_node(data, (a,), factory)
 
 
-_REDUCERS = {"sum": rsum, "mean": rmean, "max": rmax, "min": rmin, "std": rstd}
-
-
-def reduce(op: str, a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    try:
-        fn = _REDUCERS[op]
-    except KeyError:
-        raise ValueError(f"unknown reduction {op!r}") from None
-    return fn(a, axes, keepdims)
-
-
 # ---------------------------------------------------------------------
 # linear algebra / convolution
 # ---------------------------------------------------------------------
@@ -480,26 +469,3 @@ def resample_linear(x: Tensor, t_out: int) -> Tensor:
             accumulate(x, gx)
         return backward
     return make_node(val, (x,), factory)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "mul": mul,
-    "sub": sub,
-    "silu": silu,
-    "exp": exp,
-    "log1p": log1p,
-    "square": square,
-    "sqrt": sqrt,
-    "negate": negate,
-    "scale": scale,
-}
-
-
-def elementwise(op: str, *args):
-    """Dispatch an elementwise operation by name."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)

@@ -44,10 +44,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """Row-major float64 array participating in a differentiation graph."""
 
@@ -82,9 +78,6 @@ class Tensor:
     # -- gradient bookkeeping ------------------------------------------
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def is_leaf(self) -> bool:
         return not self._prev

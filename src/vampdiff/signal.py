@@ -6,7 +6,7 @@ explicit seed and are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,15 +33,19 @@ class NormStats:
         if self.sigma_train <= 0:
             raise ParameterError("sigma_train must be positive")
 
+    def normalize(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.mu_train) / self.sigma_train
+
+    def denormalize(self, x: np.ndarray) -> np.ndarray:
+        return x * self.sigma_train + self.mu_train
+
 
 @dataclass
 class SignalWindow:
     samples: np.ndarray
     fs: float
-    normalized: bool = False
     source_id: str = ""
     start_index: int = 0
-    norm_stats: Optional[NormStats] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -146,6 +150,19 @@ def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return proms
 
 
+def _select_peaks(x: np.ndarray, cands: np.ndarray,
+                  min_gap: int) -> np.ndarray:
+    """Sorted candidates kept greedily, highest first (ties to the earlier
+    index), dropping any closer than ``min_gap`` samples to a kept one."""
+    order = sorted(range(cands.size), key=lambda j: (-x[cands[j]], cands[j]))
+    kept: list[int] = []
+    for j in order:
+        p = int(cands[j])
+        if all(abs(p - q) >= min_gap for q in kept):
+            kept.append(p)
+    return np.sort(np.asarray(kept, dtype=np.int64))
+
+
 def detect_peaks(
     window: SignalWindow,
     min_distance_s: float = 0.35,
@@ -164,23 +181,13 @@ def detect_peaks(
         raise ParameterError("peak parameters must be positive")
     x = window.samples
     cands = _local_maxima(x)
-    if cands.size == 0:
-        return PeakSet(np.empty(0, dtype=np.int64), min_distance_s,
-                       prominence_frac, height_percentile)
     height_thr = np.percentile(x, height_percentile)
     prom_thr = prominence_frac * x.std()
     cands = cands[x[cands] > height_thr]
     if cands.size:
         cands = cands[_prominences(x, cands) >= prom_thr]
-    min_gap = int(round(min_distance_s * window.fs))
-    order = sorted(range(cands.size), key=lambda j: (-x[cands[j]], cands[j]))
-    kept: list[int] = []
-    for j in order:
-        p = int(cands[j])
-        if all(abs(p - q) >= min_gap for q in kept):
-            kept.append(p)
-    return PeakSet(np.sort(np.asarray(kept, dtype=np.int64)), min_distance_s,
-                   prominence_frac, height_percentile)
+    kept = _select_peaks(x, cands, int(round(min_distance_s * window.fs)))
+    return PeakSet(kept, min_distance_s, prominence_frac, height_percentile)
 
 
 def estimate_hr(peaks: PeakSet, fs: float) -> tuple[float, float]:
@@ -192,7 +199,7 @@ def estimate_hr(peaks: PeakSet, fs: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------
-# segmentation and normalization
+# segmentation
 # ---------------------------------------------------------------------
 
 
@@ -229,24 +236,6 @@ def segment(
                 continue
         out.append(win)
     return out
-
-
-def normalize(window: SignalWindow, stats: NormStats) -> SignalWindow:
-    return replace(
-        window,
-        samples=(window.samples - stats.mu_train) / stats.sigma_train,
-        normalized=True,
-        norm_stats=stats,
-    )
-
-
-def denormalize(window: SignalWindow, stats: NormStats) -> SignalWindow:
-    return replace(
-        window,
-        samples=window.samples * stats.sigma_train + stats.mu_train,
-        normalized=False,
-        norm_stats=stats,
-    )
 
 
 # ---------------------------------------------------------------------
@@ -341,17 +330,10 @@ def rr_from_co2(co2: np.ndarray, fs: float) -> Optional[float]:
     cands = _local_maxima(smoothed)
     if cands.size:
         cands = cands[_prominences(smoothed, cands) >= 0.05]
-    min_gap = int(round(1.0 * fs))
-    order = sorted(range(cands.size),
-                   key=lambda j: (-smoothed[cands[j]], cands[j]))
-    kept: list[int] = []
-    for j in order:
-        p = int(cands[j])
-        if all(abs(p - q) >= min_gap for q in kept):
-            kept.append(p)
-    if len(kept) < 2:
+    kept = _select_peaks(smoothed, cands, int(round(1.0 * fs)))
+    if kept.size < 2:
         return None
-    ibi = np.diff(np.sort(kept)).mean() / fs
+    ibi = np.diff(kept).mean() / fs
     rr = 60.0 / ibi
     if not (RR_VALID_RANGE[0] <= rr <= RR_VALID_RANGE[1]):
         return None

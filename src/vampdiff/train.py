@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from .config import RunConfig
 from .losses import beta_at, total_loss
 from .model import (
     VampDiffModel,
+    forward_diffuse,
     kl_pooled,
     reparameterize,
     stratified_init,
@@ -82,14 +84,6 @@ class AdamW:
                 p.data = p.data - g["lr"] * (update
                                              + g["weight_decay"] * p.data)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"t": np.asarray(float(self.t))}
-        for gi, g in enumerate(self.groups):
-            for pi in range(len(g["params"])):
-                out[f"g{gi}.m{pi}"] = g["m"][pi]
-                out[f"g{gi}.v{pi}"] = g["v"][pi]
-        return out
-
 
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm."""
@@ -138,20 +132,15 @@ def train_step(model: VampDiffModel, opt: AdamW, x0: np.ndarray,
 
     noise = rng.standard_normal(
         (B, config.latent_channels, config.latent_len))
-    if frozen:
-        with no_grad():
-            post = model.encode(Tensor(x0))
-            z = reparameterize(post, Tensor(noise))
-    else:
+    with no_grad() if frozen else nullcontext():
         post = model.encode(Tensor(x0))
         z = reparameterize(post, Tensor(noise))
 
     t = rng.integers(1, sched.T + 1, size=B)
     eps = rng.standard_normal(x0.shape)
-    ab = np.array([sched.alpha_bar(int(ti)) for ti in t])[:, None, None]
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    x_t = forward_diffuse(Tensor(x0), t, Tensor(eps), sched)
 
-    x0_hat = model.predict_x0(Tensor(x_t), t, z)
+    x0_hat = model.predict_x0(x_t, t, z)
 
     # KL enters whenever its coefficient is nonzero; during the freeze the
     # posterior is already detached and encoder gradients are nulled below
@@ -182,8 +171,7 @@ LOG_FIELDS = ["epoch", "total", "diffusion", "recon", "spectral", "deriv",
 
 
 def fit(model: VampDiffModel, x_train: np.ndarray,
-        out_dir: str | Path | None = None,
-        log_every: int = 1, progress=None) -> list[dict]:
+        out_dir: str | Path | None = None, progress=None) -> list[dict]:
     """Seeded epoch loop over normalized windows x_train [N, L].
 
     Writes ``training_log.csv`` and periodic checkpoints into out_dir
@@ -217,7 +205,7 @@ def fit(model: VampDiffModel, x_train: np.ndarray,
         mean = {k: val / n_batches for k, val in sums.items()}
         mean["epoch"] = epoch
         history.append(mean)
-        if progress is not None and epoch % log_every == 0:
+        if progress is not None:
             progress(mean)
         rows.append({f: mean.get(f, "") for f in LOG_FIELDS})
         if out_dir is not None:
@@ -243,10 +231,7 @@ def build_model(config: RunConfig,
     if train_windows is not None:
         pseudo_init = stratified_init(
             config.pseudo_inputs, train_windows,
-            band=(config.band_lo_hz, config.band_hi_hz),
-            peak_params=(config.peak_min_distance_s,
-                         config.peak_prominence_frac,
-                         config.peak_height_percentile))
+            band=config.band, peak_params=config.peak_params)
     model = VampDiffModel(config, rng=np.random.default_rng(config.seed),
                           pseudo_init=pseudo_init)
     model.norm_stats = norm_stats
@@ -299,6 +284,15 @@ class RRNet(ParamModule):
         out = linear(h, self._params["fc2.weight"], self._params["fc2.bias"])
         return reshape(out, (out.shape[0],))
 
+    @classmethod
+    def from_config(cls, config: RunConfig,
+                    rng: np.random.Generator | None = None) -> "RRNet":
+        """The regressor that ``config``'s rr_* settings describe."""
+        dilations = tuple(2 ** i for i in range(len(config.rr_widths)))
+        return cls(stem_channels=config.rr_stem_channels,
+                   widths=config.rr_widths, dilations=dilations,
+                   groups=config.groupnorm_groups, rng=rng)
+
 
 def train_rr_estimator(x: np.ndarray, y: np.ndarray, config: RunConfig,
                        progress=None) -> RRNet:
@@ -310,11 +304,8 @@ def train_rr_estimator(x: np.ndarray, y: np.ndarray, config: RunConfig,
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.size:
         raise TrainError("x must be [N, L] aligned with y")
-    dilations = tuple(2 ** i for i in range(len(config.rr_widths)))
-    net = RRNet(stem_channels=config.rr_stem_channels,
-                widths=config.rr_widths, dilations=dilations,
-                groups=config.groupnorm_groups,
-                rng=np.random.default_rng(config.seed + 1))
+    net = RRNet.from_config(config,
+                            rng=np.random.default_rng(config.seed + 1))
     opt = AdamW([{"params": net.params(), "lr": config.rr_lr,
                   "weight_decay": 0.0}])
     N = x.shape[0]

@@ -3,7 +3,8 @@
 ``bench/tracer.py`` patches program functions and methods by name, and its
 wrappers call ``ddim_sample`` and ``train_step`` with positional arguments.
 A rename or a changed signature makes every traced benchmark run fail; this
-test fails first.
+test fails first. A traced ``evaluate`` must also decode exactly the windows
+``bench/workloads.py`` counts and write the same bytes as an untraced one.
 """
 import importlib.util
 import inspect
@@ -14,19 +15,20 @@ import numpy as np
 
 import vampdiff.cli  # the tracer patches only modules already loaded
 from vampdiff import signal as sg
-from vampdiff.checkpoint import save_model
+from vampdiff.checkpoint import save_checkpoint, save_model
 from vampdiff.config import desk_config
 from vampdiff.model import VampDiffModel
 from vampdiff.model.sampler import ddim_sample
-from vampdiff.train import make_optimizer, train_step
+from vampdiff.train import RRNet, make_optimizer, train_step
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
+def load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracer", BENCH / "tracer.py")
+        f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -68,7 +70,7 @@ def test_wrapped_signatures_accept_positional_calls():
 
 
 def test_install_patches_and_uninstall_restores(tmp_path):
-    tracer_mod = load_tracer()
+    tracer_mod = load_bench("tracer")
     targets = traced_targets(tracer_mod)
 
     cfg = tiny_config()
@@ -107,3 +109,45 @@ def test_install_patches_and_uninstall_restores(tmp_path):
         assert report["calls"].get(span, 0) > 0, span
     assert report["bwd_self_s"].get("conv1d", 0.0) > 0.0
 
+
+
+def test_traced_evaluate_matches_workload_count_and_bytes(tmp_path):
+    workloads = load_bench("workloads")
+    tracer_mod = load_bench("tracer")
+    cfg = desk_config(window_len=256, latent_len=64, latent_channels=4,
+                      width_factor=0.0625, pseudo_inputs=3, ddim_steps=3,
+                      rr_widths=(4, 4), rr_stem_channels=4)
+    model = VampDiffModel(cfg, rng=np.random.default_rng(0))
+    model.norm_stats = sg.NormStats(0.0, 1.0)
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    save_model(fixture / "model.vdp", model, meta={"epoch": 0})
+    save_checkpoint(fixture / "rr.vdp", cfg,
+                    RRNet.from_config(cfg).state_arrays(),
+                    norm_stats=model.norm_stats, meta={"kind": "rr"})
+    data = tmp_path / "data"
+    vampdiff.cli.synth_dataset(cfg, data, n_patients=3,
+                               duration_s=2 * cfg.window_len / cfg.fs)
+    scale = workloads.Scale(config={}, train_epochs=1, fixture_epochs=1,
+                            gen_num=2, eval_gen_n=2)
+    ctx = workloads.Context(scale=scale, seed=1, work=tmp_path,
+                            fixture=fixture, data=data)
+    evaluate = workloads.Evaluate()
+    evaluate.prepare(ctx)
+
+    assert vampdiff.cli.main(evaluate.command(ctx, tmp_path / "plain")) == 0
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        rc = vampdiff.cli.main(evaluate.command(ctx, tmp_path / "traced"))
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+
+    assert sum(tracer.report()["sampler_batches"]) == evaluate.windows(ctx)
+    plain = sorted((tmp_path / "plain" / "reports").iterdir())
+    assert "rr_consistency.csv" in [p.name for p in plain]
+    traced = tmp_path / "traced" / "reports"
+    assert sorted(p.name for p in traced.iterdir()) == [p.name for p in plain]
+    for p in plain:
+        assert (traced / p.name).read_bytes() == p.read_bytes(), p.name

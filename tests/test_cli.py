@@ -1,9 +1,11 @@
 """CLI: CSV ingestion, synthetic datasets, and subcommand behavior."""
+import json
+
 import numpy as np
 import pytest
 
 from vampdiff import signal as sg
-from vampdiff.checkpoint import save_model
+from vampdiff.checkpoint import save_checkpoint, save_model
 from vampdiff.cli import (
     IngestError,
     ingest,
@@ -156,6 +158,55 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ") and "junk.vdp" in err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_trailing_bytes_are_a_clean_error(self, tmp_path, capsys):
+        ckpt = self.make_ckpt(tmp_path)
+        ckpt.write_bytes(ckpt.read_bytes() + b"\x00" * 7)
+        rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and "7 bytes after" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_missing_parameter_is_a_clean_error(self, tmp_path, capsys):
+        cfg = tiny_config()
+        model = VampDiffModel(cfg, rng=np.random.default_rng(0))
+        arrays = model.state_arrays()
+        del arrays["unet.out_conv.bias"]
+        ckpt = tmp_path / "model.vdp"
+        save_checkpoint(ckpt, cfg, arrays, norm_stats=sg.NormStats(0.0, 1.0))
+        rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and "unet.out_conv.bias" in err
+
+    @pytest.mark.parametrize("steps", [
+        {"diffusion_steps": 1, "ddim_steps": 1},
+        {"ddim_steps": 0},
+        {"diffusion_steps": 30, "ddim_steps": 31},
+    ])
+    def test_bad_step_counts_are_a_clean_error(self, tmp_path, capsys, steps):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**desk_config().to_dict(), **steps}))
+        rc = main(["train", "--config", str(p), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and "steps" in err
+
+    def test_schedule_out_of_range_is_a_clean_error(self, tmp_path, capsys):
+        # 10 steps pass the config's checks, but the linear schedule's
+        # beta_T = 0.02 * 1000 / T reaches 1 below 21 steps
+        p = tmp_path / "c.json"
+        cfg = tiny_config(diffusion_steps=10, window_len=256, latent_len=64)
+        cfg.save(p)
+        synth_dataset(cfg, tmp_path / "data", n_patients=3, seed=0)
+        rc = main(["train", "--config", str(p), "--data",
+                   str(tmp_path / "data"), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR require 0 < beta_1")
 
     def test_config_round_trip_fixed_point(self, tmp_path):
         cfg = desk_config()

@@ -7,6 +7,7 @@ from vampdiff.config import desk_config
 from vampdiff.evaluation import (
     EvalError,
     UndefinedRatioError,
+    anomaly_report,
     anomaly_scores,
     auprc,
     auroc,
@@ -86,6 +87,8 @@ class TestRankMetrics:
             auroc([1, 2], [1, 1])
         with pytest.raises(EvalError):
             auprc([1, 2], [0, 0])
+        with pytest.raises(EvalError):
+            auroc([], [])
 
 
 class TestKS:
@@ -249,6 +252,12 @@ class TestStubbedModelMetrics:
         mae, corr = anomaly_scores(w, model, seed=0)
         assert mae == pytest.approx(0.0, abs=1e-9)
         assert corr == pytest.approx(0.0, abs=1e-9)
+
+    def test_anomaly_report_empty_input_raises(self):
+        model = StubModel(lambda x_t, t, z: Tensor(z.data.copy()),
+                          norm_stats=sg.NormStats(0.0, 1.0))
+        with pytest.raises(EvalError):
+            anomaly_report(model, [], [], seed=0)
 
     def test_anomaly_scores_anticorrelated(self):
         ns = sg.NormStats(0.0, 1.0)

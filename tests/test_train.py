@@ -244,6 +244,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=key):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("shift", [-4, 4])
+    def test_offsets_must_tile_the_payload(self, tmp_path, shift):
+        p = tmp_path / "model.vdp"
+        save_checkpoint(p, tiny_config(), {"a": np.ones(3), "b": np.ones(2)})
+        raw = p.read_bytes()
+        blob_len = int.from_bytes(raw[8:16], "little")
+        manifest = json.loads(raw[16:16 + blob_len])
+        manifest["arrays"][1]["offset"] += shift
+        blob = json.dumps(manifest).encode()
+        p.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                      + raw[16 + blob_len:])
+        with pytest.raises(CheckpointError, match="'b' at offset"):
+            load_checkpoint(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "model.vdp"
+        save_checkpoint(p, tiny_config(), {"w": np.zeros(2)})
+        p.write_bytes(p.read_bytes() + b"\x00" * 7)
+        with pytest.raises(CheckpointError, match="7 bytes after"):
+            load_checkpoint(p)
+
+    def test_misshaped_parameter_rejected(self, tmp_path):
+        cfg = tiny_config()
+        arrays = VampDiffModel(cfg).state_arrays()
+        arrays["encoder.conv1.bias"] = np.zeros(1)
+        p = tmp_path / "model.vdp"
+        save_checkpoint(p, cfg, arrays)
+        with pytest.raises(CheckpointError, match="encoder.conv1.bias"):
+            load_model(p)
+
 
 class TestRRNet:
     def test_shapes_and_training_reduces_loss(self):
