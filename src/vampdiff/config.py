@@ -11,6 +11,11 @@ class ConfigError(Exception):
     pass
 
 
+# The linear diffusion schedule scales the 1000-step endpoints (1e-4, 0.02)
+# by 1000 / T, so beta_T = 20 / T stays below 1 only for T > 20.
+MIN_DIFFUSION_STEPS = 21
+
+
 @dataclass
 class RunConfig:
     profile: str = "full"
@@ -91,8 +96,9 @@ class RunConfig:
             raise ConfigError("latent_len must equal window_len / 4")
         if self.latent_len % self.pooled_len != 0:
             raise ConfigError("latent_len must be divisible by pooled_len")
-        if self.diffusion_steps < 2:
-            raise ConfigError("diffusion_steps must be >= 2")
+        if self.diffusion_steps < MIN_DIFFUSION_STEPS:
+            raise ConfigError(
+                f"diffusion_steps must be >= {MIN_DIFFUSION_STEPS}")
         if not 1 <= self.ddim_steps <= self.diffusion_steps:
             raise ConfigError("ddim_steps must be in 1..diffusion_steps")
         if self.batch_size < 1:
@@ -111,12 +117,8 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     @property
-    def unet_channels(self) -> tuple[int, int, int]:
-        return tuple(max(4, int(round(c * self.width_factor)))
-                     for c in (64, 128, 256))
-
-    @property
-    def encoder_widths(self) -> tuple[int, int, int]:
+    def widths(self) -> tuple[int, int, int]:
+        """Channels of the three encoder stages and U-Net levels."""
         return tuple(max(4, int(round(c * self.width_factor)))
                      for c in (64, 128, 256))
 

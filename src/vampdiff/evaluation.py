@@ -9,7 +9,8 @@ import numpy as np
 from . import signal as sg
 from .model import reconstruct as _reconstruct
 from .model import generate as _generate
-from .model import interpolate_latent, seeded_noise, ddim_sample
+from .model import interpolate_latent, seeded_noise
+from .model.sampler import _decode
 from .numcore import Tensor, no_grad
 
 
@@ -136,13 +137,8 @@ def tpr_at_fpr(scores: np.ndarray, labels: np.ndarray,
 # reconstruction
 # ----------------------------------------------------------------------
 
-def _peaks_of(window: sg.SignalWindow, config) -> sg.PeakSet:
-    return sg.detect_peaks(sg.bandpass(window, *config.band),
-                           *config.peak_params)
-
-
 def _hr_of(window: sg.SignalWindow, config) -> tuple | None:
-    peaks = _peaks_of(window, config)
+    peaks = sg.systolic_peaks(window, config.band, config.peak_params)
     if len(peaks) < 2:
         return None
     return sg.estimate_hr(peaks, window.fs)
@@ -223,10 +219,8 @@ def sensitivity_ratio(x0: np.ndarray, model, seed: int = 0) -> float:
     z_rand = Tensor(np.random.default_rng((seed, 1)).standard_normal(
         z_mu.shape))
     x_T = seeded_noise((1, 1, L), seed)
-    dec_mu = ddim_sample(model.predict_x0, model.schedule, z_mu, x_T,
-                         model.config.ddim_steps)
-    dec_rand = ddim_sample(model.predict_x0, model.schedule, z_rand, x_T,
-                           model.config.ddim_steps)
+    dec_mu = _decode(model, z_mu, x_T, denorm=False)
+    dec_rand = _decode(model, z_rand, x_T, denorm=False)
     rng_ = float(dec_mu.max() - dec_mu.min())
     if rng_ == 0:
         raise UndefinedRatioError("posterior-mean decoding has zero range")
@@ -304,7 +298,7 @@ class GenReport:
 
 def _window_stats(samples: np.ndarray, fs: float, config):
     w = sg.SignalWindow(np.asarray(samples, dtype=np.float64), fs)
-    peaks = _peaks_of(w, config)
+    peaks = sg.systolic_peaks(w, config.band, config.peak_params)
     hr = sg.estimate_hr(peaks, fs)[0] if len(peaks) >= 2 else None
     return hr, float(np.ptp(w.samples)), float(w.samples.std()), len(peaks)
 

@@ -6,7 +6,7 @@ import numpy as np
 from ..config import RunConfig
 from ..numcore import Tensor
 from ..signal import NormStats
-from .base import ParamModule, conv_init, linear_init
+from .base import ParamModule
 from .encoder import LOGVAR_CLAMP, Encoder, LatentPosterior, pool, reparameterize
 from .prior import (
     PriorError,
@@ -37,7 +37,7 @@ from .sampler import (
 from .unet import UNet, sinusoidal_embedding
 
 __all__ = [
-    "ParamModule", "conv_init", "linear_init",
+    "ParamModule",
     "LOGVAR_CLAMP", "Encoder", "LatentPosterior", "pool", "reparameterize",
     "PriorError", "PseudoInputs", "kl_pooled", "pooled_posterior",
     "standard_normal_logpdf", "stratified_init", "vamp_components",
@@ -61,17 +61,16 @@ class VampDiffModel(ParamModule):
         self.config = config
         self.encoder = self.add_child(
             "encoder",
-            Encoder(config.latent_channels, widths=config.encoder_widths,
-                    groups=config.groupnorm_groups, rng=rng))
+            Encoder(config.latent_channels, config.widths,
+                    config.groupnorm_groups, rng))
         self.pseudo = self.add_child(
             "pseudo",
             PseudoInputs(config.pseudo_inputs, config.window_len,
                          init=pseudo_init, rng=rng))
         self.unet = self.add_child(
             "unet",
-            UNet(config.latent_channels, channels=config.unet_channels,
-                 time_dim=config.time_embed_dim,
-                 groups=config.groupnorm_groups, rng=rng))
+            UNet(config.latent_channels, config.widths,
+                 config.time_embed_dim, config.groupnorm_groups, rng))
         self.schedule = DiffusionSchedule(config.diffusion_steps)
         self.norm_stats: NormStats | None = None
 

@@ -1,13 +1,21 @@
-"""Minimal parameter-container plumbing shared by model components."""
+"""Parameter container shared by model components, and the one definition
+of their conv, linear and group-norm layers."""
 from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor
+from ..numcore import Tensor, conv1d, groupnorm, linear
 
 
 class ParamModule:
-    """Holds named parameter tensors and child modules."""
+    """Holds named parameter tensors and child modules.
+
+    A layer ``name`` owns the arrays ``name.kernel``/``name.bias`` (conv),
+    ``name.weight``/``name.bias`` (linear) or ``name.gamma``/``name.beta``
+    (group norm over ``self.groups`` groups). Conv and linear weights are
+    drawn from N(0, 1 / fan_in) in declaration order; biases and beta start
+    at zero, gamma at one.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -22,6 +30,40 @@ class ParamModule:
         self._children[name] = child
         return child
 
+    # -- layers ----------------------------------------------------------
+    def add_conv(self, name: str, rng: np.random.Generator, cin: int,
+                 cout: int, k: int) -> None:
+        self.add_param(f"{name}.kernel", conv_init(rng, cout, cin, k))
+        self.add_param(f"{name}.bias", np.zeros(cout))
+
+    def add_linear(self, name: str, rng: np.random.Generator, n_in: int,
+                   n_out: int) -> None:
+        self.add_param(f"{name}.weight",
+                       rng.normal(0.0, np.sqrt(1.0 / n_in), (n_out, n_in)))
+        self.add_param(f"{name}.bias", np.zeros(n_out))
+
+    def add_norm(self, name: str, c: int) -> None:
+        self.add_param(f"{name}.gamma", np.ones(c))
+        self.add_param(f"{name}.beta", np.zeros(c))
+
+    def conv(self, name: str, x: Tensor, stride: int = 1,
+             dilation: int = 1) -> Tensor:
+        """Conv layer ``name`` with "same" padding: for an odd kernel the
+        output length is ceil(L / stride)."""
+        kernel = self._params[f"{name}.kernel"]
+        return conv1d(x, kernel, self._params[f"{name}.bias"], stride=stride,
+                      padding=dilation * (kernel.shape[2] - 1) // 2,
+                      dilation=dilation)
+
+    def linear(self, name: str, x: Tensor) -> Tensor:
+        return linear(x, self._params[f"{name}.weight"],
+                      self._params[f"{name}.bias"])
+
+    def norm(self, name: str, x: Tensor) -> Tensor:
+        return groupnorm(x, self.groups, self._params[f"{name}.gamma"],
+                         self._params[f"{name}.beta"])
+
+    # -- parameters --------------------------------------------------------
     def named_params(self, prefix: str = ""):
         for name, t in self._params.items():
             yield (prefix + name, t)
@@ -39,7 +81,11 @@ class ParamModule:
         return {name: t.data for name, t in self.named_params()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_params():
+        params = dict(self.named_params())
+        extra = sorted(set(state) - set(params))
+        if extra:
+            raise KeyError(f"unexpected parameter {extra[0]!r} in state")
+        for name, t in params.items():
             if name not in state:
                 raise KeyError(f"missing parameter {name!r} in state")
             arr = np.asarray(state[name], dtype=np.float64)
@@ -52,7 +98,3 @@ class ParamModule:
 
 def conv_init(rng: np.random.Generator, cout: int, cin: int, k: int) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(1.0 / (cin * k)), (cout, cin, k))
-
-
-def linear_init(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(1.0 / n), (m, n))

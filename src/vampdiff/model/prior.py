@@ -162,8 +162,8 @@ def kl_pooled(
 def stratified_init(
     K: int,
     train_windows: list[sg.SignalWindow],
-    band=(0.7, 3.0),
-    peak_params=(0.35, 0.1, 60.0),
+    band,
+    peak_params,
 ) -> np.ndarray:
     """Pick K real windows stratified over (heart rate, peak-to-peak amplitude).
 
@@ -176,8 +176,7 @@ def stratified_init(
             f"need at least K={K} quality windows, got {len(train_windows)}")
     feats = []
     for i, w in enumerate(train_windows):
-        filt = sg.bandpass(w, band[0], band[1])
-        peaks = sg.detect_peaks(filt, *peak_params)
+        peaks = sg.systolic_peaks(w, band, peak_params)
         if len(peaks) < 2:
             continue
         hr, _ = sg.estimate_hr(peaks, w.fs)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import MIN_DIFFUSION_STEPS
 from ..numcore import Tensor, add, mul
 
 
@@ -14,23 +15,16 @@ class DiffusionSchedule:
     """Linear beta schedule with derived cumulative and posterior tables.
 
     Endpoints scale the conventional 1000-step values (1e-4, 0.02) by
-    1000/T so that alpha_bar stays near zero at t = T for any T.
-    Indexing is 1-based through :meth:`beta` .. :meth:`posterior_var`;
-    ``alpha_bar(0) == 1``.
+    1000/T so that alpha_bar stays near zero at t = T for any T; beta_T < 1
+    needs T >= MIN_DIFFUSION_STEPS. Indexing is 1-based through
+    :meth:`beta` .. :meth:`posterior_var`; ``alpha_bar(0) == 1``.
     """
 
-    def __init__(self, T: int = 100, beta_start: float | None = None,
-                 beta_end: float | None = None):
-        if T < 2:
-            raise ScheduleError("T must be >= 2")
+    def __init__(self, T: int):
+        if T < MIN_DIFFUSION_STEPS:
+            raise ScheduleError(f"T must be >= {MIN_DIFFUSION_STEPS}")
         self.T = int(T)
-        if beta_start is None:
-            beta_start = 1e-4 * (1000.0 / T)
-        if beta_end is None:
-            beta_end = 0.02 * (1000.0 / T)
-        if not (0 < beta_start < beta_end < 1):
-            raise ScheduleError("require 0 < beta_1 < beta_T < 1")
-        self._beta = np.linspace(beta_start, beta_end, T)
+        self._beta = np.linspace(1e-4 * (1000.0 / T), 0.02 * (1000.0 / T), T)
         self._alpha = 1.0 - self._beta
         self._alpha_bar = np.cumprod(self._alpha)
 

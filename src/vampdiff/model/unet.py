@@ -13,15 +13,15 @@ from ..numcore import (
     DimensionError,
     Tensor,
     add,
-    conv1d,
-    groupnorm,
-    linear,
     mul,
     reshape,
     resample_linear,
     silu,
 )
-from .base import ParamModule, conv_init, linear_init
+from .base import ParamModule, conv_init
+
+# scale of the FiLM kernels' init, so every level starts near the identity
+FILM_WEIGHT_SCALE = 0.05
 
 
 def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
@@ -34,80 +34,47 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 class UNet(ParamModule):
-    def __init__(self, latent_channels: int, channels=(64, 128, 256),
-                 time_dim: int = 128, groups: int = 4,
-                 rng: np.random.Generator | None = None,
-                 film_weight_scale: float = 0.05):
+    def __init__(self, latent_channels: int, channels, time_dim: int,
+                 groups: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.channels = tuple(channels)
         self.time_dim = time_dim
         self.groups = groups
         self.latent_channels = latent_channels
         c0, c1, c2 = self.channels
 
-        def p_conv(name, cin, cout, k):
-            self.add_param(f"{name}.kernel", conv_init(rng, cout, cin, k))
-            self.add_param(f"{name}.bias", np.zeros(cout))
-
-        def p_lin(name, m, n):
-            self.add_param(f"{name}.weight", linear_init(rng, m, n))
-            self.add_param(f"{name}.bias", np.zeros(m))
-
-        def p_gn(name, c):
-            self.add_param(f"{name}.gamma", np.ones(c))
-            self.add_param(f"{name}.beta", np.zeros(c))
-
-        p_lin("temb.fc1", time_dim, time_dim)
-        p_lin("temb.fc2", time_dim, time_dim)
-        p_conv("in_conv", 1, c0, 3)
+        self.add_linear("temb.fc1", rng, time_dim, time_dim)
+        self.add_linear("temb.fc2", rng, time_dim, time_dim)
+        self.add_conv("in_conv", rng, 1, c0, 3)
         # residual blocks: 2 per level on the way down, 2 on the way up for
         # levels 0 and 1; the bottom level runs its blocks once
-        self.block_names = []
         for lvl, c in enumerate(self.channels):
-            passes = ("d", "u") if lvl < 2 else ("d",)
-            for side in passes:
+            for side in ("d", "u") if lvl < 2 else ("d",):
                 for b in range(2):
                     name = f"res{lvl}{side}{b}"
-                    self.block_names.append((name, lvl, c))
-                    p_gn(f"{name}.gn_a", c)
-                    p_conv(f"{name}.conv_a", c, c, 3)
-                    p_lin(f"{name}.tproj", c, time_dim)
-                    p_gn(f"{name}.gn_b", c)
-                    p_conv(f"{name}.conv_b", c, c, 3)
-        p_conv("down0", c0, c1, 3)
-        p_conv("down1", c1, c2, 3)
-        p_conv("up1", c2, c1, 3)
-        p_conv("up0", c1, c0, 3)
-        p_gn("out_gn", c0)
-        p_conv("out_conv", c0, 1, 3)
+                    self.add_norm(f"{name}.gn_a", c)
+                    self.add_conv(f"{name}.conv_a", rng, c, c, 3)
+                    self.add_linear(f"{name}.tproj", rng, time_dim, c)
+                    self.add_norm(f"{name}.gn_b", c)
+                    self.add_conv(f"{name}.conv_b", rng, c, c, 3)
+        self.add_conv("down0", rng, c0, c1, 3)
+        self.add_conv("down1", rng, c1, c2, 3)
+        self.add_conv("up1", rng, c2, c1, 3)
+        self.add_conv("up0", rng, c1, c0, 3)
+        self.add_norm("out_gn", c0)
+        self.add_conv("out_conv", rng, c0, 1, 3)
         # per-level FiLM projections from the latent; bias initialized so
         # gamma starts near 1 and beta near 0
         for lvl, c in enumerate(self.channels):
-            k = film_weight_scale * conv_init(rng, 2 * c, latent_channels, 1)
-            b = np.concatenate([np.ones(c), np.zeros(c)])
-            self.add_param(f"film{lvl}.kernel", k)
-            self.add_param(f"film{lvl}.bias", b)
+            self.add_param(f"film{lvl}.kernel", FILM_WEIGHT_SCALE
+                           * conv_init(rng, 2 * c, latent_channels, 1))
+            self.add_param(f"film{lvl}.bias",
+                           np.concatenate([np.ones(c), np.zeros(c)]))
 
     # ------------------------------------------------------------------
-    def _conv(self, name, x, stride=1, padding=1):
-        return conv1d(x, self._params[f"{name}.kernel"],
-                      self._params[f"{name}.bias"], stride=stride,
-                      padding=padding)
-
-    def _lin(self, name, x):
-        return linear(x, self._params[f"{name}.weight"],
-                      self._params[f"{name}.bias"])
-
-    def _gn(self, name, x):
-        return groupnorm(x, self.groups, self._params[f"{name}.gamma"],
-                         self._params[f"{name}.beta"])
-
     def _film_params(self, lvl: int, z: Tensor, length: int):
         c = self.channels[lvl]
-        zl = resample_linear(z, length)
-        gb = conv1d(zl, self._params[f"film{lvl}.kernel"],
-                    self._params[f"film{lvl}.bias"])
+        gb = self.conv(f"film{lvl}", resample_linear(z, length))
         B = gb.shape[0]
         gb = reshape(gb, (B, 2, c, length))
         gamma = reshape(rsum_slice(gb, 0), (B, c, length))
@@ -116,13 +83,11 @@ class UNet(ParamModule):
 
     def _res_block(self, name, h, temb, gamma, beta):
         c = h.shape[1]
-        y = silu(self._gn(f"{name}.gn_a", h))
-        y = self._conv(f"{name}.conv_a", y)
-        tproj = self._lin(f"{name}.tproj", temb)
+        y = self.conv(f"{name}.conv_a", silu(self.norm(f"{name}.gn_a", h)))
+        tproj = self.linear(f"{name}.tproj", temb)
         y = add(y, reshape(tproj, (tproj.shape[0], c, 1)))
         y = add(mul(gamma, y), beta)
-        y = silu(self._gn(f"{name}.gn_b", y))
-        y = self._conv(f"{name}.conv_b", y)
+        y = self.conv(f"{name}.conv_b", silu(self.norm(f"{name}.gn_b", y)))
         return add(h, y)
 
     # ------------------------------------------------------------------
@@ -140,31 +105,31 @@ class UNet(ParamModule):
             raise DimensionError(f"t has {t.size} entries for batch {B}")
 
         emb = Tensor(sinusoidal_embedding(t, self.time_dim))
-        temb = self._lin("temb.fc2", silu(self._lin("temb.fc1", emb)))
+        temb = self.linear("temb.fc2", silu(self.linear("temb.fc1", emb)))
 
         lengths = (L, L // 2, L // 4)
         film = [self._film_params(lvl, z, lengths[lvl]) for lvl in range(3)]
 
-        h = self._conv("in_conv", x_t)
+        h = self.conv("in_conv", x_t)
         h = self._res_block("res0d0", h, temb, *film[0])
         h = self._res_block("res0d1", h, temb, *film[0])
         skip0 = h
-        h = self._conv("down0", h, stride=2)
+        h = self.conv("down0", h, stride=2)
         h = self._res_block("res1d0", h, temb, *film[1])
         h = self._res_block("res1d1", h, temb, *film[1])
         skip1 = h
-        h = self._conv("down1", h, stride=2)
+        h = self.conv("down1", h, stride=2)
         h = self._res_block("res2d0", h, temb, *film[2])
         h = self._res_block("res2d1", h, temb, *film[2])
-        h = self._conv("up1", resample_linear(h, lengths[1]))
+        h = self.conv("up1", resample_linear(h, lengths[1]))
         h = add(h, skip1)
         h = self._res_block("res1u0", h, temb, *film[1])
         h = self._res_block("res1u1", h, temb, *film[1])
-        h = self._conv("up0", resample_linear(h, lengths[0]))
+        h = self.conv("up0", resample_linear(h, lengths[0]))
         h = add(h, skip0)
         h = self._res_block("res0u0", h, temb, *film[0])
         h = self._res_block("res0u1", h, temb, *film[0])
-        return self._conv("out_conv", silu(self._gn("out_gn", h)))
+        return self.conv("out_conv", silu(self.norm("out_gn", h)))
 
 
 def rsum_slice(x: Tensor, index: int) -> Tensor:

@@ -76,9 +76,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- gradient bookkeeping ------------------------------------------
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def is_leaf(self) -> bool:
         return not self._prev
 
@@ -104,35 +101,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node)()
-
-    # -- operator sugar (implemented in ops.py, bound there) -----------
-    def __add__(self, other):
-        from . import ops
-        return ops.add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        from . import ops
-        return ops.mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        from . import ops
-        return ops.sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        from . import ops
-        return ops.sub(_as_tensor(other), self)
-
-    def __neg__(self):
-        from . import ops
-        return ops.negate(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -165,9 +165,9 @@ def _select_peaks(x: np.ndarray, cands: np.ndarray,
 
 def detect_peaks(
     window: SignalWindow,
-    min_distance_s: float = 0.35,
-    prominence_frac: float = 0.1,
-    height_percentile: float = 60.0,
+    min_distance_s: float,
+    prominence_frac: float,
+    height_percentile: float,
 ) -> PeakSet:
     """Systolic peak detection on a bandpass-filtered window.
 
@@ -190,6 +190,12 @@ def detect_peaks(
     return PeakSet(kept, min_distance_s, prominence_frac, height_percentile)
 
 
+def systolic_peaks(window: SignalWindow, band, peak_params) -> PeakSet:
+    """Peaks of ``window`` after the bandpass ``band`` = (lo, hi) Hz;
+    ``peak_params`` are :func:`detect_peaks`'s positional parameters."""
+    return detect_peaks(bandpass(window, *band), *peak_params)
+
+
 def estimate_hr(peaks: PeakSet, fs: float) -> tuple[float, float]:
     """(hr_bpm, mean_ibi_s) from successive peak gaps."""
     if len(peaks) < 2:
@@ -210,13 +216,14 @@ def segment(
     overlap_frac: float = 0.5,
     quality_min_peaks: int = 0,
     source_id: str = "",
-    band=(0.7, 3.0),
-    peak_params=(0.35, 0.1, 60.0),
+    *,
+    band,
+    peak_params,
 ) -> list[SignalWindow]:
     """Cut a recording into overlapping windows with a transient quality check.
 
-    The bandpass + peak detection is applied only to decide retention;
-    retained windows store the unfiltered samples.
+    :func:`systolic_peaks` under ``band`` and ``peak_params`` is applied only
+    to decide retention; retained windows store the unfiltered samples.
     """
     recording = np.asarray(recording, dtype=np.float64)
     if window_len > recording.size:
@@ -230,9 +237,7 @@ def segment(
         win = SignalWindow(recording[start:start + window_len].copy(), fs,
                            source_id=source_id, start_index=start)
         if quality_min_peaks > 0:
-            filt = bandpass(win, band[0], band[1])
-            peaks = detect_peaks(filt, *peak_params)
-            if len(peaks) < quality_min_peaks:
+            if len(systolic_peaks(win, band, peak_params)) < quality_min_peaks:
                 continue
         out.append(win)
     return out

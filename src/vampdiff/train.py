@@ -17,19 +17,8 @@ from .model import (
     reparameterize,
     stratified_init,
 )
-from .model.base import ParamModule, conv_init, linear_init
-from .numcore import (
-    Tensor,
-    conv1d,
-    groupnorm,
-    linear,
-    no_grad,
-    reshape,
-    rmean,
-    silu,
-    square,
-    sub,
-)
+from .model.base import ParamModule
+from .numcore import Tensor, no_grad, reshape, rmean, silu, square, sub
 from . import signal as sg
 
 
@@ -243,55 +232,38 @@ def build_model(config: RunConfig,
 # ----------------------------------------------------------------------
 
 class RRNet(ParamModule):
-    """Dilated 1-D convnet regressing breaths/min from a PPG window."""
+    """Dilated 1-D convnet regressing breaths/min from a PPG window; stage
+    i dilates by 2 ** i."""
 
-    def __init__(self, stem_channels: int = 32, widths=(32, 64, 128, 128),
-                 dilations=(1, 2, 4, 8), groups: int = 4,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, stem_channels: int, widths, groups: int,
+                 rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.widths = tuple(widths)
-        self.dilations = tuple(dilations)
+        self.depth = len(widths)
         self.groups = groups
-        if len(widths) != len(dilations):
-            raise TrainError("widths and dilations must align")
-        self.add_param("stem.kernel", conv_init(rng, stem_channels, 1, 11))
-        self.add_param("stem.bias", np.zeros(stem_channels))
+        self.add_conv("stem", rng, 1, stem_channels, 11)
         cin = stem_channels
-        for i, (w, _) in enumerate(zip(widths, dilations)):
-            self.add_param(f"stage{i}.kernel", conv_init(rng, w, cin, 3))
-            self.add_param(f"stage{i}.bias", np.zeros(w))
-            self.add_param(f"gn{i}.gamma", np.ones(w))
-            self.add_param(f"gn{i}.beta", np.zeros(w))
+        for i, w in enumerate(widths):
+            self.add_conv(f"stage{i}", rng, cin, w, 3)
+            self.add_norm(f"gn{i}", w)
             cin = w
-        self.add_param("fc1.weight", linear_init(rng, cin, cin))
-        self.add_param("fc1.bias", np.zeros(cin))
-        self.add_param("fc2.weight", linear_init(rng, 1, cin))
-        self.add_param("fc2.bias", np.zeros(1))
+        self.add_linear("fc1", rng, cin, cin)
+        self.add_linear("fc2", rng, cin, 1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = conv1d(x, self._params["stem.kernel"], self._params["stem.bias"],
-                   stride=2, padding=5)
-        for i, d in enumerate(self.dilations):
-            h = conv1d(h, self._params[f"stage{i}.kernel"],
-                       self._params[f"stage{i}.bias"], padding=d, dilation=d)
-            h = silu(groupnorm(h, self.groups,
-                               self._params[f"gn{i}.gamma"],
-                               self._params[f"gn{i}.beta"]))
+        h = self.conv("stem", x, stride=2)
+        for i in range(self.depth):
+            h = silu(self.norm(f"gn{i}",
+                               self.conv(f"stage{i}", h, dilation=2 ** i)))
         pooled = rmean(h, axes=2)  # global average pool -> [B, C]
-        h = silu(linear(pooled, self._params["fc1.weight"],
-                        self._params["fc1.bias"]))
-        out = linear(h, self._params["fc2.weight"], self._params["fc2.bias"])
+        out = self.linear("fc2", silu(self.linear("fc1", pooled)))
         return reshape(out, (out.shape[0],))
 
     @classmethod
     def from_config(cls, config: RunConfig,
                     rng: np.random.Generator | None = None) -> "RRNet":
         """The regressor that ``config``'s rr_* settings describe."""
-        dilations = tuple(2 ** i for i in range(len(config.rr_widths)))
-        return cls(stem_channels=config.rr_stem_channels,
-                   widths=config.rr_widths, dilations=dilations,
-                   groups=config.groupnorm_groups, rng=rng)
+        return cls(config.rr_stem_channels, config.rr_widths,
+                   config.groupnorm_groups, rng or np.random.default_rng(0))
 
 
 def train_rr_estimator(x: np.ndarray, y: np.ndarray, config: RunConfig,

@@ -18,7 +18,7 @@ from vampdiff import signal as sg
 from vampdiff.checkpoint import save_checkpoint, save_model
 from vampdiff.config import desk_config
 from vampdiff.model import VampDiffModel
-from vampdiff.model.sampler import ddim_sample
+from vampdiff.model.sampler import ddim_sample, ddim_timesteps
 from vampdiff.train import RRNet, make_optimizer, train_step
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -90,6 +90,7 @@ def test_install_patches_and_uninstall_restores(tmp_path):
                                 "--seed", "1",
                                 "--out", str(tmp_path / "gen.csv")])
         assert rc == 0
+        generate_calls = dict(tracer.calls)
         opt = make_optimizer(model, cfg)
         x0 = np.random.default_rng(1).normal(size=(2, 1, cfg.window_len))
         sys.modules["vampdiff.train"].train_step(
@@ -108,6 +109,13 @@ def test_install_patches_and_uninstall_restores(tmp_path):
                  "train.train_step", "numcore.backward"):
         assert report["calls"].get(span, 0) > 0, span
     assert report["bwd_self_s"].get("conv1d", 0.0) > 0.0
+    # every layer op reaches the tracer: one encoder pass over the
+    # pseudo-inputs (5 convs, 3 norms), then per DDIM step one U-Net pass
+    # (29 convs with FiLM, 21 norms, 2 time-MLP + 10 tproj linears)
+    n_t = len(ddim_timesteps(cfg.diffusion_steps, cfg.ddim_steps))
+    assert generate_calls["conv1d"] == 29 * n_t + 5
+    assert generate_calls["groupnorm"] == 21 * n_t + 3
+    assert generate_calls["linear"] == 12 * n_t
 
 
 

@@ -182,6 +182,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ") and "unet.out_conv.bias" in err
 
+    def test_unexpected_parameter_is_a_clean_error(self, tmp_path, capsys):
+        model = VampDiffModel(desk_config(), rng=np.random.default_rng(0))
+        arrays = {**model.state_arrays(), "unet.nonexistent": np.zeros(3)}
+        ckpt = tmp_path / "model.vdp"
+        save_checkpoint(ckpt, model.config, arrays,
+                        norm_stats=sg.NormStats(0.0, 1.0))
+        rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and "unet.nonexistent" in err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("steps", [
         {"diffusion_steps": 1, "ddim_steps": 1},
         {"ddim_steps": 0},
@@ -197,16 +210,16 @@ class TestCommands:
         assert err.startswith("ERROR ") and "steps" in err
 
     def test_schedule_out_of_range_is_a_clean_error(self, tmp_path, capsys):
-        # 10 steps pass the config's checks, but the linear schedule's
-        # beta_T = 0.02 * 1000 / T reaches 1 below 21 steps
+        # the linear schedule's beta_T = 0.02 * 1000 / T reaches 1 below 21
+        # steps; the config rejects that before any data is read
         p = tmp_path / "c.json"
-        cfg = tiny_config(diffusion_steps=10, window_len=256, latent_len=64)
-        cfg.save(p)
-        synth_dataset(cfg, tmp_path / "data", n_patients=3, seed=0)
+        p.write_text(json.dumps({**tiny_config().to_dict(),
+                                 "diffusion_steps": 10}))
         rc = main(["train", "--config", str(p), "--data",
-                   str(tmp_path / "data"), "--out", str(tmp_path / "run")])
+                   str(tmp_path / "missing"), "--out", str(tmp_path / "run")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("ERROR require 0 < beta_1")
+        assert capsys.readouterr().err.startswith(
+            "ERROR diffusion_steps must be >= 21")
 
     def test_config_round_trip_fixed_point(self, tmp_path):
         cfg = desk_config()

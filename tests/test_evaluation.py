@@ -277,8 +277,8 @@ class TestStubbedModelMetrics:
         assert [a for a, _ in out] == [0.0, 0.5, 1.0]
         cfg = model.config
         hr_lo = 60.0 / sg.estimate_hr(
-            sg.detect_peaks(sg.bandpass(lo, cfg.band_lo_hz, cfg.band_hi_hz)),
-            lo.fs)[1]
+            sg.detect_peaks(sg.bandpass(lo, cfg.band_lo_hz, cfg.band_hi_hz),
+                            *cfg.peak_params), lo.fs)[1]
         assert out[0][1] == pytest.approx(hr_lo, abs=1e-6)
 
     def test_interpolation_single_alpha(self):

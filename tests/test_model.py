@@ -3,10 +3,12 @@
 Oracles: closed-form Gaussian identities, brute-force numpy densities,
 Monte-Carlo statistics, and central finite differences.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
-from vampdiff.config import desk_config
+from vampdiff.config import MIN_DIFFUSION_STEPS, ConfigError, desk_config
 from vampdiff.numcore import Tensor, rsum, scale, square
 from vampdiff.model import (
     DiffusionSchedule,
@@ -30,7 +32,9 @@ from vampdiff.model import (
     vamp_components,
     vampprior_logpdf,
 )
+from vampdiff.model.base import ParamModule
 from vampdiff.model.prior import _diag_gauss_logpdf
+from vampdiff.train import RRNet
 from vampdiff import signal as sg
 
 
@@ -99,6 +103,15 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             s.beta(26)
         assert s.alpha_bar(0) == 1.0
+
+    def test_shortest_schedule_is_the_config_bound(self):
+        # beta_T = 20 / T must stay below 1
+        assert DiffusionSchedule(MIN_DIFFUSION_STEPS).beta(
+            MIN_DIFFUSION_STEPS) < 1.0
+        with pytest.raises(ScheduleError):
+            DiffusionSchedule(MIN_DIFFUSION_STEPS - 1)
+        with pytest.raises(ConfigError, match="diffusion_steps"):
+            desk_config(diffusion_steps=MIN_DIFFUSION_STEPS - 1, ddim_steps=5)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +289,8 @@ class TestPrior:
             x = sg.synth_ppg(fs=fs, duration_s=dur, hr_bpm=hr, rr_bpm=15.0,
                              amp=amp, seed=int(rng.integers(1 << 30)))
             windows.append(sg.SignalWindow(x, fs))
-        u = stratified_init(4, windows)
+        cfg = desk_config()
+        u = stratified_init(4, windows, cfg.band, cfg.peak_params)
         assert u.shape == (4, windows[0].samples.size)
         train = {w.samples.tobytes() for w in windows}
         assert all(row.tobytes() in train for row in u)
@@ -286,8 +300,9 @@ class TestPrior:
     def test_stratified_init_requires_enough_windows(self):
         x = sg.synth_ppg(fs=75.0, duration_s=10.24, hr_bpm=80.0, rr_bpm=15.0)
         w = sg.SignalWindow(x, 75.0)
+        cfg = desk_config()
         with pytest.raises(PriorError):
-            stratified_init(3, [w, w])
+            stratified_init(3, [w, w], cfg.band, cfg.peak_params)
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +398,46 @@ class TestUNet:
         b = net._params["film0.bias"].data
         np.testing.assert_array_equal(b[:4], 1.0)
         np.testing.assert_array_equal(b[4:], 0.0)
+
+
+# ----------------------------------------------------------------------
+# layers
+# ----------------------------------------------------------------------
+
+def param_layout(module):
+    """(count, digest of the ordered "name shape" lines, digest of the
+    float64 values) over ``module.named_params()``."""
+    names, values = hashlib.sha256(), hashlib.sha256()
+    n = 0
+    for name, t in module.named_params():
+        n += 1
+        names.update(f"{name} {t.shape}\n".encode())
+        values.update(t.data.astype("<f8").tobytes())
+    return n, names.hexdigest()[:16], values.hexdigest()[:16]
+
+
+class TestLayers:
+    def test_parameter_layout_and_init_are_pinned(self):
+        # checkpoint array names, their order (clip_global_norm sums in it)
+        # and every init draw; a change here changes checkpoint bytes
+        model = VampDiffModel(desk_config(), rng=np.random.default_rng(3))
+        assert param_layout(model) == (141, "fa96abe0765178f1",
+                                       "346dc284dfef9064")
+        rr = RRNet.from_config(desk_config(), rng=np.random.default_rng(4))
+        assert param_layout(rr) == (22, "2b136ccfdee5d5d8",
+                                    "cfad3ab2d3c7a85b")
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 11])
+    @pytest.mark.parametrize("dilation", [1, 2, 8])
+    def test_conv_keeps_length(self, k, dilation):
+        m = ParamModule()
+        m.add_conv("c", np.random.default_rng(0), 2, 3, k)
+        assert [n for n, _ in m.named_params()] == ["c.kernel", "c.bias"]
+        for L in (1, 7, 16, 33):
+            x = Tensor(np.random.default_rng(L).normal(size=(2, 2, L)))
+            assert m.conv("c", x, dilation=dilation).shape == (2, 3, L)
+            assert m.conv("c", x, stride=2, dilation=dilation).shape == (
+                2, 3, -(-L // 2))
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,10 @@ import pytest
 
 from vampdiff import signal as sg
 
+# the desk and full profiles' bandpass (Hz) and detect_peaks parameters
+BAND = (0.7, 3.0)
+PEAKS = (0.35, 0.1, 60.0)
+
 
 def sine(freq, fs=75.0, n=750):
     t = np.arange(n) / fs
@@ -57,7 +61,7 @@ def test_detect_peaks_impulse_train():
 
 
 def test_detect_peaks_constant_signal_empty():
-    peaks = sg.detect_peaks(sg.SignalWindow(np.ones(200), 100.0))
+    peaks = sg.detect_peaks(sg.SignalWindow(np.ones(200), 100.0), *PEAKS)
     assert len(peaks) == 0
 
 
@@ -81,8 +85,8 @@ def test_detect_peaks_gap_invariant():
 
 def test_peak_indices_amplitude_invariant():
     x = sg.synth_ppg(75, 15, 90, 15, amp=1.0, seed=3)
-    a = sg.detect_peaks(sg.bandpass(sg.SignalWindow(x, 75.0), 0.7, 3.0))
-    b = sg.detect_peaks(sg.bandpass(sg.SignalWindow(4.2 * x + 10.0, 75.0), 0.7, 3.0))
+    a = sg.systolic_peaks(sg.SignalWindow(x, 75.0), BAND, PEAKS)
+    b = sg.systolic_peaks(sg.SignalWindow(4.2 * x + 10.0, 75.0), BAND, PEAKS)
     np.testing.assert_array_equal(a.indices, b.indices)
 
 
@@ -118,25 +122,28 @@ def test_estimate_hr_insufficient_peaks():
 
 
 def test_segment_stride_arithmetic():
-    wins = sg.segment(np.arange(10.0), 100.0, 4, overlap_frac=0.5)
+    wins = sg.segment(np.arange(10.0), 100.0, 4, overlap_frac=0.5, band=BAND,
+                      peak_params=PEAKS)
     assert [w.start_index for w in wins] == [0, 2, 4, 6]
 
 
 def test_segment_quality_filter_drops_constant():
-    wins = sg.segment(np.ones(2000), 75.0, 750, quality_min_peaks=2)
+    wins = sg.segment(np.ones(2000), 75.0, 750, quality_min_peaks=2, band=BAND,
+                      peak_params=PEAKS)
     assert wins == []
 
 
 def test_segment_retains_unfiltered_and_requality():
     rec = sg.synth_ppg(75, 60, 90, 15, seed=4)
-    wins = sg.segment(rec, 75.0, 768, quality_min_peaks=2, source_id="s")
+    wins = sg.segment(rec, 75.0, 768, quality_min_peaks=2, source_id="s",
+                      band=BAND, peak_params=PEAKS)
     assert wins
     for w in wins:
         # stored samples are unfiltered
         np.testing.assert_array_equal(
             w.samples, rec[w.start_index:w.start_index + 768])
         filt = sg.bandpass(w, 0.7, 3.0)
-        assert len(sg.detect_peaks(filt)) >= 2
+        assert len(sg.detect_peaks(filt, *PEAKS)) >= 2
 
 
 # ----------------------------------------------------------------- normalize
@@ -170,7 +177,7 @@ def test_normstats_rejects_nonpositive_sigma():
 def test_synth_ppg_peak_count_and_hr():
     x = sg.synth_ppg(100.0, 10.0, 120.0, 15.0, seed=7)
     filt = sg.bandpass(sg.SignalWindow(x, 100.0), 0.7, 3.0)
-    peaks = sg.detect_peaks(filt)
+    peaks = sg.detect_peaks(filt, *PEAKS)
     assert 19 <= len(peaks) <= 21
     hr, _ = sg.estimate_hr(peaks, 100.0)
     assert abs(hr - 120.0) < 3.0
@@ -191,7 +198,7 @@ def test_synth_ppg_deterministic():
 def test_synth_ppg_hr_recovery(hr):
     x = sg.synth_ppg(75.0, 20.0, hr, 12.0, seed=2)
     filt = sg.bandpass(sg.SignalWindow(x, 75.0), 0.7, 3.0)
-    est, _ = sg.estimate_hr(sg.detect_peaks(filt), 75.0)
+    est, _ = sg.estimate_hr(sg.detect_peaks(filt, *PEAKS), 75.0)
     assert abs(est - hr) < 3.0
 
 

@@ -283,8 +283,7 @@ class TestRRNet:
         x = rng.normal(size=(8, cfg.window_len))
         y = 10.0 + x.mean(axis=1)
         net = RRNet(stem_channels=cfg.rr_stem_channels, widths=cfg.rr_widths,
-                    dilations=(1, 2), groups=2,
-                    rng=np.random.default_rng(1))
+                    groups=2, rng=np.random.default_rng(1))
         pred0 = net(Tensor(x[:, None, :]))
         assert pred0.shape == (8,)
         mse0 = float(np.mean((pred0.data - y) ** 2))
@@ -295,8 +294,8 @@ class TestRRNet:
         assert mse1 < mse0
 
     def test_rr_gradients_flow(self):
-        net = RRNet(stem_channels=4, widths=(4, 4), dilations=(1, 2),
-                    groups=2, rng=np.random.default_rng(2))
+        net = RRNet(stem_channels=4, widths=(4, 4), groups=2,
+                    rng=np.random.default_rng(2))
         x = Tensor(np.random.default_rng(3).normal(size=(2, 1, 64)))
         rsum(square(net(x))).backward()
         for name, p in net.named_params():
