@@ -8,6 +8,7 @@ files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,11 @@ def save_checkpoint(path, config: RunConfig, arrays: dict,
 
 
 def load_checkpoint(path):
-    """Read a container back; returns (config, arrays, norm_stats, meta)."""
+    """Read a container back; returns (config, arrays, norm_stats, meta).
+
+    A NaN or infinite array value or norm statistic is a
+    :class:`CheckpointError`.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint container")
@@ -82,14 +87,24 @@ def load_checkpoint(path):
         end = start + 4 * count
         if end > len(payload):
             raise CheckpointError(f"truncated payload for {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
+        arr = np.frombuffer(
             payload[start:end], dtype="<f4").reshape(shape).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {entry['name']!r} has "
+                                  "non-finite values")
+        arrays[entry["name"]] = arr
     if end != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - end} bytes after the "
                               "last array")
     ns = manifest.get("norm_stats")
-    norm_stats = None if ns is None else NormStats(ns["mu_train"],
-                                                  ns["sigma_train"])
+    norm_stats = None
+    if ns is not None:
+        for key in ("mu_train", "sigma_train"):
+            value = ns.get(key)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise CheckpointError(f"{path}: norm_stats {key!r} is not a "
+                                      "finite number")
+        norm_stats = NormStats(ns["mu_train"], ns["sigma_train"])
     return config, arrays, norm_stats, manifest.get("meta", {})
 
 

@@ -324,8 +324,9 @@ def conv1d(
 
     Computed as a sum over the K taps: tap k is a strided view of the
     padded input, ``xp[:, :, k*dilation :: stride]`` cut to L' columns, and
-    contributes ``kernel[:, :, k] @ tap``.  The backward pass uses the same
-    views, so no im2col buffer is built or kept.
+    contributes ``kernel[:, :, k] @ tap``.  The backward pass re-pads
+    ``x`` and takes the same views, so the graph keeps neither an im2col
+    buffer nor a padded copy.
     """
     if x.ndim != 3 or kernel.ndim != 3 or bias.ndim != 1:
         raise DimensionError(
@@ -350,13 +351,18 @@ def conv1d(
             f"conv1d receptive span {span} exceeds padded length {L + 2 * padding}"
         )
     L_out = (L + 2 * padding - span) // stride + 1
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
     last = (L_out - 1) * stride + 1
-    taps = [xp[:, :, k * dilation:k * dilation + last:stride] for k in range(K)]
-    val = kernel.data[:, :, 0] @ taps[0]  # [B, Cout, L_out]
+
+    def taps():
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) \
+            if padding else x.data
+        return [xp[:, :, k * dilation:k * dilation + last:stride]
+                for k in range(K)]
+
+    forward_taps = taps()
+    val = kernel.data[:, :, 0] @ forward_taps[0]  # [B, Cout, L_out]
     for k in range(1, K):
-        val += kernel.data[:, :, k] @ taps[k]
+        val += kernel.data[:, :, k] @ forward_taps[k]
     val += bias.data[None, :, None]
 
     def factory(out):
@@ -365,8 +371,8 @@ def conv1d(
             # per tap: sum over (B, L_out) of g x tap, as one GEMM
             g2 = g.transpose(1, 0, 2).reshape(cout, B * L_out)
             gk = np.empty((cout, cin, K))
-            for k in range(K):
-                gk[:, :, k] = g2 @ taps[k].transpose(0, 2, 1).reshape(
+            for k, tap in enumerate(taps()):
+                gk[:, :, k] = g2 @ tap.transpose(0, 2, 1).reshape(
                     B * L_out, cin)
             accumulate(kernel, gk)
             accumulate(bias, g.sum(axis=(0, 2)))
@@ -385,7 +391,14 @@ def conv1d(
 def groupnorm(
     x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5
 ) -> Tensor:
-    """Per-(batch, group) normalization with affine scale/shift."""
+    """Per-(batch, group) normalization with affine scale/shift.
+
+    ``inv = exp(-0.5 * log(var + eps))`` and ``normed = (x - mean) * inv``
+    per group; the output is ``normed * gamma + beta``.  One graph node
+    whose backward is the closed form (Wu & He 2018) with
+    ``dn = dout * gamma``:
+    ``dx = inv * (dn - mean(dn) - normed * mean(dn * normed))``.
+    """
     if x.ndim != 3:
         raise DimensionError(f"groupnorm expects [B,C,L], got {x.shape}")
     B, C, L = x.shape
@@ -393,15 +406,35 @@ def groupnorm(
         raise DimensionError(f"channels {C} not divisible by groups {groups}")
     if gamma.shape != (C,) or beta.shape != (C,):
         raise DimensionError("gamma/beta must have shape [C]")
-    grouped = reshape(x, (B, groups, (C // groups) * L))
-    mean = rmean(grouped, axes=2, keepdims=True)
-    centered = sub(grouped, mean)
-    var = rmean(square(centered), axes=2, keepdims=True)
-    inv = exp(scale(log(add(var, Tensor(np.full_like(var.data, eps)))), -0.5))
-    normed = reshape(mul(centered, inv), (B, C, L))
-    g = reshape(gamma, (1, C, 1))
-    b = reshape(beta, (1, C, 1))
-    return add(mul(normed, g), b)
+    shape = (B, groups, (C // groups) * L)
+    grouped = x.data.reshape(shape)
+    # two [B, C, L] buffers serve the five elementwise passes
+    val = np.empty((B, C, L))
+    centered = np.subtract(grouped, grouped.mean(axis=2, keepdims=True),
+                           out=val.reshape(shape))
+    normed = np.multiply(centered, centered)
+    var = normed.mean(axis=2, keepdims=True)
+    inv = np.exp(np.log(var + eps) * -0.5)
+    np.multiply(centered, inv, out=normed)  # [B, G, n]
+    np.multiply(normed.reshape(B, C, L), gamma.data.reshape(1, C, 1), out=val)
+    val += beta.data.reshape(1, C, 1)
+
+    def factory(out):
+        def backward():
+            g = out.grad
+            tmp = g * normed.reshape(B, C, L)
+            accumulate(gamma, tmp.sum(axis=(0, 2)))
+            accumulate(beta, g.sum(axis=(0, 2)))
+            if x.requires_grad:
+                gn = (g * gamma.data.reshape(1, C, 1)).reshape(shape)
+                tmp = np.multiply(gn, normed, out=tmp.reshape(shape))
+                m = tmp.mean(axis=2, keepdims=True)
+                gn -= gn.mean(axis=2, keepdims=True)
+                gn -= np.multiply(normed, m, out=tmp)
+                gn *= inv
+                accumulate(x, gn.reshape(B, C, L))
+        return backward
+    return make_node(val, (x, gamma, beta), factory)
 
 
 def rdft(x: Tensor) -> tuple[Tensor, Tensor]:

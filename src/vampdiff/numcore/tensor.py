@@ -82,25 +82,37 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
 
-        Leaf gradients accumulate additively across repeated calls;
-        internal-node gradients are recomputed per sweep.
+        Interior nodes are freed during the sweep: once a node's rule has
+        run, its gradient, rule and inputs are dropped, so only leaf
+        gradients survive, and they accumulate additively across calls.
+        A second ``backward`` on the same non-leaf root raises
+        :class:`UsageError`.
         """
+        if self._backward is _RELEASED:
+            raise UsageError("backward: graph already released")
         if self.data.size != 1:
             raise UsageError(
                 f"backward requires a scalar root, got shape {self.shape}"
             )
         order = _toposort(self)
-        for node in order:
-            if node._prev:
-                node.grad = None
-        if self._prev:
-            self.grad = np.ones_like(self.data)
-        else:
-            seed = np.ones_like(self.data)
-            self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        interior = bool(self._prev)
+        seed = np.ones_like(self.data)
+        self.grad = seed if interior or self.grad is None else self.grad + seed
+        while order:
+            node = order.pop()
+            if not node._prev:
+                continue
+            if node.grad is not None:
                 node._backward(node)()
+            node.grad = None
+            node._backward = None
+            node._prev = ()
+        if interior:
+            self._backward = _RELEASED
+
+
+# marks a root whose graph a sweep has already freed
+_RELEASED = object()
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

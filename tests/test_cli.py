@@ -182,6 +182,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ") and "unet.out_conv.bias" in err
 
+    @pytest.mark.parametrize("where", ["array", "mu_train", "sigma_train"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_checkpoint_is_a_clean_error(self, tmp_path, capsys,
+                                                    where, bad):
+        cfg = tiny_config()
+        model = VampDiffModel(cfg, rng=np.random.default_rng(0))
+        arrays = model.state_arrays()
+        stats = {"mu_train": 0.0, "sigma_train": 1.0}
+        if where == "array":
+            arrays["unet.out_conv.kernel"].flat[3] = bad
+        else:
+            stats[where] = bad
+        ckpt = tmp_path / "model.vdp"
+        save_checkpoint(ckpt, cfg, arrays, norm_stats=sg.NormStats(**stats))
+        rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        name = "unet.out_conv.kernel" if where == "array" else where
+        assert err.startswith("ERROR ") and "model.vdp" in err and name in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unexpected_parameter_is_a_clean_error(self, tmp_path, capsys):
         model = VampDiffModel(desk_config(), rng=np.random.default_rng(0))
         arrays = {**model.state_arrays(), "unet.nonexistent": np.zeros(3)}

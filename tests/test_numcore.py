@@ -32,6 +32,26 @@ def test_backward_requires_scalar_root():
         nc.square(x).backward()
 
 
+def test_backward_frees_interior_nodes():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    sq = nc.square(x)
+    loss = nc.rsum(sq)
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, 2 * np.arange(3.0))
+    for node in (sq, loss):
+        assert node.grad is None and node._prev == ()
+    with pytest.raises(nc.UsageError, match="graph already released"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, 2 * np.arange(3.0))
+
+
+def test_backward_on_a_leaf_root_accumulates():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    x.backward()
+    x.backward()
+    np.testing.assert_array_equal(x.grad, [2.0])
+
+
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
     nc.rsum(x).backward()
@@ -272,6 +292,43 @@ def test_groupnorm_gradients():
             [rand(rng, 2, 4, 6), rand(rng, 4), rand(rng, 4)],
             rel_tol=1e-4,
         )
+
+
+@pytest.mark.parametrize("groups", [1, 2, 6])
+def test_groupnorm_gradients_per_group_count(groups):
+    rng = np.random.default_rng(53 + groups)
+    w = Tensor(rng.normal(size=(2, 6, 5)))
+
+    def fn(x, g, b):
+        return nc.rsum(nc.mul(nc.silu(nc.groupnorm(x, groups, g, b)), w))
+
+    for _ in range(20):
+        check_grads(fn, [rand(rng, 2, 6, 5), rand(rng, 6), rand(rng, 6)],
+                    rel_tol=1e-4)
+
+
+def test_groupnorm_gradients_without_input_grad():
+    rng = np.random.default_rng(59)
+    x = Tensor(rng.normal(size=(2, 4, 6)))
+    w = Tensor(rng.normal(size=(2, 4, 6)))
+
+    def fn(g, b):
+        return nc.rsum(nc.mul(nc.square(nc.groupnorm(x, 2, g, b)), w))
+
+    for _ in range(20):
+        check_grads(fn, [rand(rng, 4), rand(rng, 4)], rel_tol=1e-4)
+
+
+def test_groupnorm_gradients_at_constant_input():
+    rng = np.random.default_rng(61)
+    w = Tensor(rng.normal(size=(2, 4, 6)))
+
+    def fn(x, g, b):
+        return nc.rsum(nc.mul(nc.groupnorm(x, 2, g, b), w))
+
+    for _ in range(5):
+        x = Tensor(np.full((2, 4, 6), rng.normal()))
+        check_grads(fn, [x, rand(rng, 4), rand(rng, 4)], rel_tol=1e-4)
 
 
 # ---------------------------------------------------------------------- rdft

@@ -4,6 +4,12 @@ replaced, which are kept here verbatim as references.
 ``detect_peaks`` and ``rr_from_co2`` now share one min-distance selection,
 and ``train_step`` calls a batched ``forward_diffuse`` instead of its own
 inline expression. Each must give exactly the old indices and floats.
+
+``groupnorm`` is one graph node with a closed-form backward instead of a
+composite of 15 nodes, and ``Tensor.backward`` frees interior nodes as it
+goes instead of keeping the whole graph. The groupnorm forward and the
+leaf gradients the new sweep gives a training step must be exactly the
+old ones; the groupnorm gradients may move in the last few bits.
 """
 from typing import Optional
 
@@ -12,9 +18,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vampdiff import numcore as nc
 from vampdiff import signal as sg
-from vampdiff.model import DiffusionSchedule, ScheduleError, forward_diffuse
-from vampdiff.numcore import Tensor
+from vampdiff.config import desk_config
+from vampdiff.model import (
+    DiffusionSchedule,
+    ScheduleError,
+    VampDiffModel,
+    forward_diffuse,
+)
+from vampdiff.numcore import (
+    Tensor,
+    UsageError,
+    add,
+    exp,
+    log,
+    mul,
+    reshape,
+    rmean,
+    scale,
+    square,
+    sub,
+)
+from vampdiff.numcore.tensor import _toposort
+from vampdiff.train import make_optimizer, train_step
 
 # ----------------------------------------------------------------------
 # reference implementations
@@ -91,6 +118,34 @@ def ref_rr_from_co2(co2, fs) -> Optional[float]:
     if not (6.0 <= rr <= 35.0):
         return None
     return float(rr)
+
+
+def ref_groupnorm(x, groups, gamma, beta, eps=1e-5):
+    B, C, L = x.shape
+    grouped = reshape(x, (B, groups, (C // groups) * L))
+    mean = rmean(grouped, axes=2, keepdims=True)
+    centered = sub(grouped, mean)
+    var = rmean(square(centered), axes=2, keepdims=True)
+    inv = exp(scale(log(add(var, Tensor(np.full_like(var.data, eps)))), -0.5))
+    normed = reshape(mul(centered, inv), (B, C, L))
+    g = reshape(gamma, (1, C, 1))
+    b = reshape(beta, (1, C, 1))
+    return add(mul(normed, g), b)
+
+
+def ref_backward(root):
+    order = _toposort(root)
+    for node in order:
+        if node._prev:
+            node.grad = None
+    if root._prev:
+        root.grad = np.ones_like(root.data)
+    else:
+        seed = np.ones_like(root.data)
+        root.grad = seed if root.grad is None else root.grad + seed
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node)()
 
 
 # ----------------------------------------------------------------------
@@ -170,3 +225,67 @@ def test_forward_diffuse_checks_every_t(t):
     with pytest.raises(ScheduleError):
         forward_diffuse(x0, t, Tensor(np.zeros((2, 1, 4))),
                         DiffusionSchedule(50))
+
+
+# ----------------------------------------------------------------------
+# groupnorm and the backward sweep
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 16), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_groupnorm_matches_composite(B, groups, per_group, L, spread, seed):
+    C = groups * per_group
+    rng = np.random.default_rng(seed)
+    x = spread * rng.standard_normal((B, C, L)) + rng.standard_normal()
+    gamma, beta = rng.standard_normal(C), rng.standard_normal(C)
+    w = rng.standard_normal((B, C, L))
+    results = []
+    for gn in (nc.groupnorm, ref_groupnorm):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        out = gn(ts[0], groups, ts[1], ts[2])
+        nc.rsum(mul(nc.silu(out), Tensor(w))).backward()
+        results.append((out.data, [t.grad for t in ts]))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for g_new, g_old in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g_new, g_old, rtol=1e-12, atol=1e-12)
+
+
+def test_release_sweep_matches_keep_everything_sweep(monkeypatch):
+    """Leaf gradients of frozen and KL-active training steps are the old
+    sweep's bytes, and the new sweep frees every interior node."""
+    cfg = desk_config(window_len=64, latent_len=16, latent_channels=4,
+                      pooled_len=8, width_factor=0.0625, pseudo_inputs=3,
+                      epochs=3, batch_size=2, freeze_epochs=1,
+                      beta_floor_until=2, beta_ramp_until=3)
+    model = VampDiffModel(cfg, rng=np.random.default_rng(0))
+    opt = make_optimizer(model, cfg)
+    x0 = np.random.default_rng(1).standard_normal((2, 1, 64))
+    release = Tensor.backward
+    swept = []
+
+    def compare(root):
+        order = _toposort(root)
+        interior = [n for n in order if n._prev]
+        leaves = [n for n in order if not n._prev and n.requires_grad]
+        before = [n.grad for n in leaves]
+        ref_backward(root)
+        want = [n.grad.tobytes() for n in leaves]
+        for n, g in zip(leaves, before):
+            n.grad = g
+        for n in interior:
+            n.grad = None
+        release(root)
+        assert [n.grad.tobytes() for n in leaves] == want
+        assert all(n.grad is None and n._prev == () for n in interior)
+        with pytest.raises(UsageError, match="already released"):
+            release(root)
+        swept.append(len(interior))
+
+    monkeypatch.setattr(Tensor, "backward", compare)
+    for epoch in (1, 2):
+        train_step(model, opt, x0, epoch, np.random.default_rng(epoch))
+    # the unfrozen step's graph also holds the encoder and the KL
+    assert len(swept) == 2 and 100 < swept[0] < swept[1]
