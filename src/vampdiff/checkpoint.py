@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .signal import NormStats
 
 MAGIC = b"VAMPDIF1"
@@ -54,6 +54,36 @@ def save_checkpoint(path, config: RunConfig, arrays: dict,
         f.write(bytes(payload))
 
 
+def _check_manifest(path, manifest) -> None:
+    """Reject a manifest whose structure :func:`load_checkpoint` cannot
+    walk, naming the field."""
+    for key in ("config", "arrays"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise CheckpointError(f"{path}: manifest has no {key!r}")
+    for key, kinds, what in (("config", dict, "an object"),
+                             ("meta", dict, "an object"),
+                             ("norm_stats", (dict, type(None)),
+                              "an object or null"),
+                             ("arrays", list, "a list")):
+        value = manifest.get(key, {})
+        if not isinstance(value, kinds):
+            raise CheckpointError(f"{path}: manifest {key!r} must be {what}, "
+                                  f"got {type(value).__name__}")
+    for i, entry in enumerate(manifest["arrays"]):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: array entry {i} has no string "
+                                  "'name'")
+        shape, offset = entry.get("shape"), entry.get("offset")
+        if not (isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"{path}: array {name!r}: 'shape' must be "
+                                  f"a list of non-negative ints, got {shape!r}")
+        if type(offset) is not int:
+            raise CheckpointError(f"{path}: array {name!r}: 'offset' must be "
+                                  f"an int, got {offset!r}")
+
+
 def load_checkpoint(path):
     """Read a container back; returns (config, arrays, norm_stats, meta).
 
@@ -70,10 +100,11 @@ def load_checkpoint(path):
         manifest = json.loads(raw[16:16 + blob_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"corrupt manifest: {e}") from None
-    for key in ("config", "arrays"):
-        if not isinstance(manifest, dict) or key not in manifest:
-            raise CheckpointError(f"{path}: manifest has no {key!r}")
-    config = RunConfig.from_dict(manifest["config"])
+    _check_manifest(path, manifest)
+    try:
+        config = RunConfig.from_dict(manifest["config"])
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: manifest config: {e}") from None
     payload = raw[16 + blob_len:]
     arrays = {}
     end = 0

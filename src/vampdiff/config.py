@@ -16,6 +16,20 @@ class ConfigError(Exception):
 MIN_DIFFUSION_STEPS = 21
 
 
+def _has_type(value, annotation: str) -> bool:
+    """Whether ``value`` fits a :class:`RunConfig` field annotation; an int
+    fits a float field, and a bool fits only a bool field."""
+    if annotation == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if annotation == "tuple[int, ...]":
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(w, "int") for w in value))
+    return isinstance(value, {"int": int, "float": (int, float),
+                              "str": str}[annotation])
+
+
 @dataclass
 class RunConfig:
     profile: str = "full"
@@ -80,7 +94,7 @@ class RunConfig:
     freeze_beta: float = 0.0            # optional small beta during encoder freeze
 
     # RR estimator
-    rr_widths: tuple = (32, 64, 128, 128)
+    rr_widths: tuple[int, ...] = (32, 64, 128, 128)
     rr_stem_channels: int = 32
     rr_epochs: int = 40
     rr_lr: float = 1e-3
@@ -88,6 +102,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(
+                    f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.profile not in {"full", "desk"}:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.window_len % 4 != 0:
@@ -113,7 +132,7 @@ class RunConfig:
             raise ConfigError(f"unknown pooled_variance {self.pooled_variance!r}")
         if not (0 < self.band_lo_hz < self.band_hi_hz < self.fs / 2):
             raise ConfigError("band edges must satisfy 0 < lo < hi < fs/2")
-        self.rr_widths = tuple(int(w) for w in self.rr_widths)
+        self.rr_widths = tuple(self.rr_widths)
 
     # ------------------------------------------------------------------
     @property
@@ -141,6 +160,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be an object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -156,8 +177,6 @@ class RunConfig:
             d = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid config JSON: {e}") from None
-        if not isinstance(d, dict):
-            raise ConfigError("config JSON must be an object")
         return cls.from_dict(d)
 
     @classmethod

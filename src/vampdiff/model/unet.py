@@ -18,6 +18,7 @@ from ..numcore import (
     resample_linear,
     silu,
 )
+from ..numcore.tensor import accumulate, make_node
 from .base import ParamModule, conv_init
 
 # scale of the FiLM kernels' init, so every level starts near the identity
@@ -134,14 +135,8 @@ class UNet(ParamModule):
 
 def rsum_slice(x: Tensor, index: int) -> Tensor:
     """Select x[:, index] from a [B, 2, C, L] tensor via a gather op."""
-    from ..numcore.tensor import accumulate, make_node
-
-    data = x.data[:, index]
-
-    def factory(out):
-        def backward():
-            g = np.zeros_like(x.data)
-            g[:, index] = out.grad
-            accumulate(x, g)
-        return backward
-    return make_node(data, (x,), factory)
+    def rule(g):
+        gx = np.zeros_like(x.data)
+        gx[:, index] = g
+        accumulate(x, gx)
+    return make_node(x.data[:, index], (x,), rule)

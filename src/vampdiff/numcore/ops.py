@@ -25,134 +25,85 @@ from .tensor import (
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad)
-            accumulate(b, out.grad)
-        return backward
-    return make_node(a.data + b.data, (a, b), factory)
+    def rule(g):
+        accumulate(a, g)
+        accumulate(b, g)
+    return make_node(a.data + b.data, (a, b), rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad)
-            accumulate(b, -out.grad)
-        return backward
-    return make_node(a.data - b.data, (a, b), factory)
+    def rule(g):
+        accumulate(a, g)
+        accumulate(b, -g)
+    return make_node(a.data - b.data, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * b.data)
-            accumulate(b, out.grad * a.data)
-        return backward
-    return make_node(a.data * b.data, (a, b), factory)
+    def rule(g):
+        accumulate(a, g * b.data)
+        accumulate(b, g * a.data)
+    return make_node(a.data * b.data, (a, b), rule)
 
 
 def negate(a: Tensor) -> Tensor:
-    def factory(out):
-        def backward():
-            accumulate(a, -out.grad)
-        return backward
-    return make_node(-a.data, (a,), factory)
+    return make_node(-a.data, (a,), lambda g: accumulate(a, -g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * c)
-        return backward
-    return make_node(a.data * c, (a,), factory)
+    return make_node(a.data * c, (a,), lambda g: accumulate(a, g * c))
 
 
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
     val = a.data * sig
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * (sig * (1.0 + a.data * (1.0 - sig))))
-        return backward
-    return make_node(val, (a,), factory)
+    return make_node(val, (a,), lambda g: accumulate(
+        a, g * (sig * (1.0 + a.data * (1.0 - sig)))))
 
 
 def exp(a: Tensor) -> Tensor:
     val = np.exp(a.data)
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * val)
-        return backward
-    return make_node(val, (a,), factory)
+    return make_node(val, (a,), lambda g: accumulate(a, g * val))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise DomainError("log requires strictly positive input")
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad / a.data)
-        return backward
-    return make_node(np.log(a.data), (a,), factory)
+    return make_node(np.log(a.data), (a,), lambda g: accumulate(a, g / a.data))
 
 
 def log1p(a: Tensor) -> Tensor:
     if np.any(a.data < -1):
         raise DomainError("log1p requires input >= -1")
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad / (1.0 + a.data))
-        return backward
-    return make_node(np.log1p(a.data), (a,), factory)
+    return make_node(np.log1p(a.data), (a,),
+                     lambda g: accumulate(a, g / (1.0 + a.data)))
 
 
 def square(a: Tensor) -> Tensor:
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * (2.0 * a.data))
-        return backward
-    return make_node(a.data * a.data, (a,), factory)
+    return make_node(a.data * a.data, (a,),
+                     lambda g: accumulate(a, g * (2.0 * a.data)))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0):
         raise DomainError("sqrt requires nonnegative input")
     val = np.sqrt(a.data)
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * (0.5 / val))
-        return backward
-    return make_node(val, (a,), factory)
+    return make_node(val, (a,), lambda g: accumulate(a, g * (0.5 / val)))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient passes through the interior only."""
     mask = (a.data >= lo) & (a.data <= hi)
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * mask)
-        return backward
-    return make_node(np.clip(a.data, lo, hi), (a,), factory)
+    return make_node(np.clip(a.data, lo, hi), (a,),
+                     lambda g: accumulate(a, g * mask))
 
 
 def huber(a: Tensor) -> Tensor:
     """Elementwise SmoothL1: 0.5*x^2 for |x| < 1, |x| - 0.5 otherwise."""
     absa = np.abs(a.data)
     val = np.where(absa < 1.0, 0.5 * a.data * a.data, absa - 0.5)
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad * np.clip(a.data, -1.0, 1.0))
-        return backward
-    return make_node(val, (a,), factory)
+    return make_node(val, (a,),
+                     lambda g: accumulate(a, g * np.clip(a.data, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------
@@ -162,12 +113,8 @@ def huber(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-
-    def factory(out):
-        def backward():
-            accumulate(a, out.grad.reshape(a.data.shape))
-        return backward
-    return make_node(a.data.reshape(shape), (a,), factory)
+    return make_node(a.data.reshape(shape), (a,),
+                     lambda g: accumulate(a, g.reshape(a.data.shape)))
 
 
 # ---------------------------------------------------------------------
@@ -202,28 +149,22 @@ def rsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axes, a.ndim)
     _check_nonempty(a, axes)
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            accumulate(a, np.broadcast_to(g, a.data.shape))
-        return backward
-    return make_node(a.data.sum(axis=axes, keepdims=keepdims), (a,), factory)
+    def rule(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        accumulate(a, np.broadcast_to(g, a.data.shape))
+    return make_node(a.data.sum(axis=axes, keepdims=keepdims), (a,), rule)
 
 
 def rmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axes, a.ndim)
     count = _check_nonempty(a, axes)
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            accumulate(a, np.broadcast_to(g, a.data.shape) / count)
-        return backward
-    return make_node(a.data.mean(axis=axes, keepdims=keepdims), (a,), factory)
+    def rule(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        accumulate(a, np.broadcast_to(g, a.data.shape) / count)
+    return make_node(a.data.mean(axis=axes, keepdims=keepdims), (a,), rule)
 
 
 def _extreme(a: Tensor, axes, keepdims: bool, mode: str) -> Tensor:
@@ -237,22 +178,19 @@ def _extreme(a: Tensor, axes, keepdims: bool, mode: str) -> Tensor:
     idx = np.argmax(flat, axis=-1) if mode == "max" else np.argmin(flat, axis=-1)
     vals = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            if keepdims:
-                g = g.reshape(outer_shape)
-            gflat = np.zeros_like(flat)
-            np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
-            gmoved = gflat.reshape(moved.shape)
-            accumulate(a, np.transpose(gmoved, np.argsort(perm)))
-        return backward
+    def rule(g):
+        if keepdims:
+            g = g.reshape(outer_shape)
+        gflat = np.zeros_like(flat)
+        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
+        gmoved = gflat.reshape(moved.shape)
+        accumulate(a, np.transpose(gmoved, np.argsort(perm)))
 
     out_data = vals
     if keepdims:
         out_data = np.expand_dims(vals, tuple(range(len(kept), a.ndim)))
         out_data = np.transpose(out_data, np.argsort(perm))
-    return make_node(out_data, (a,), factory)
+    return make_node(out_data, (a,), rule)
 
 
 def rmax(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -270,18 +208,15 @@ def rstd(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     mean = a.data.mean(axis=axes, keepdims=True)
     std_kd = np.sqrt(((a.data - mean) ** 2).mean(axis=axes, keepdims=True))
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            safe = np.where(std_kd > 0, std_kd, 1.0)
-            grad = np.where(std_kd > 0, (a.data - mean) / (count * safe), 0.0)
-            accumulate(a, g * grad)
-        return backward
+    def rule(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        safe = np.where(std_kd > 0, std_kd, 1.0)
+        grad = np.where(std_kd > 0, (a.data - mean) / (count * safe), 0.0)
+        accumulate(a, g * grad)
 
     data = std_kd if keepdims else std_kd.squeeze(axis=axes)
-    return make_node(data, (a,), factory)
+    return make_node(data, (a,), rule)
 
 
 # ---------------------------------------------------------------------
@@ -302,14 +237,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"bias {bias.shape}"
         )
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            accumulate(x, g @ weight.data)
-            accumulate(weight, g.T @ x.data)
-            accumulate(bias, g.sum(axis=0))
-        return backward
-    return make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), factory)
+    def rule(g):
+        accumulate(x, g @ weight.data)
+        accumulate(weight, g.T @ x.data)
+        accumulate(bias, g.sum(axis=0))
+    return make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), rule)
 
 
 def conv1d(
@@ -365,27 +297,25 @@ def conv1d(
         val += kernel.data[:, :, k] @ forward_taps[k]
     val += bias.data[None, :, None]
 
-    def factory(out):
-        def backward():
-            g = out.grad  # [B, Cout, L_out]
-            # per tap: sum over (B, L_out) of g x tap, as one GEMM
-            g2 = g.transpose(1, 0, 2).reshape(cout, B * L_out)
-            gk = np.empty((cout, cin, K))
-            for k, tap in enumerate(taps()):
-                gk[:, :, k] = g2 @ tap.transpose(0, 2, 1).reshape(
-                    B * L_out, cin)
-            accumulate(kernel, gk)
-            accumulate(bias, g.sum(axis=(0, 2)))
-            if x.requires_grad:
-                gxp = np.zeros((B, cin, L + 2 * padding))
-                for k in range(K):
-                    start = k * dilation
-                    gxp[:, :, start:start + last:stride] += \
-                        kernel.data[:, :, k].T @ g
-                gx = gxp[:, :, padding:padding + L] if padding else gxp
-                accumulate(x, gx)
-        return backward
-    return make_node(val, (x, kernel, bias), factory)
+    def rule(g):
+        # g: [B, Cout, L_out]
+        # per tap: sum over (B, L_out) of g x tap, as one GEMM
+        g2 = g.transpose(1, 0, 2).reshape(cout, B * L_out)
+        gk = np.empty((cout, cin, K))
+        for k, tap in enumerate(taps()):
+            gk[:, :, k] = g2 @ tap.transpose(0, 2, 1).reshape(
+                B * L_out, cin)
+        accumulate(kernel, gk)
+        accumulate(bias, g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            gxp = np.zeros((B, cin, L + 2 * padding))
+            for k in range(K):
+                start = k * dilation
+                gxp[:, :, start:start + last:stride] += \
+                    kernel.data[:, :, k].T @ g
+            gx = gxp[:, :, padding:padding + L] if padding else gxp
+            accumulate(x, gx)
+    return make_node(val, (x, kernel, bias), rule)
 
 
 def groupnorm(
@@ -419,22 +349,19 @@ def groupnorm(
     np.multiply(normed.reshape(B, C, L), gamma.data.reshape(1, C, 1), out=val)
     val += beta.data.reshape(1, C, 1)
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            tmp = g * normed.reshape(B, C, L)
-            accumulate(gamma, tmp.sum(axis=(0, 2)))
-            accumulate(beta, g.sum(axis=(0, 2)))
-            if x.requires_grad:
-                gn = (g * gamma.data.reshape(1, C, 1)).reshape(shape)
-                tmp = np.multiply(gn, normed, out=tmp.reshape(shape))
-                m = tmp.mean(axis=2, keepdims=True)
-                gn -= gn.mean(axis=2, keepdims=True)
-                gn -= np.multiply(normed, m, out=tmp)
-                gn *= inv
-                accumulate(x, gn.reshape(B, C, L))
-        return backward
-    return make_node(val, (x, gamma, beta), factory)
+    def rule(g):
+        tmp = g * normed.reshape(B, C, L)
+        accumulate(gamma, tmp.sum(axis=(0, 2)))
+        accumulate(beta, g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            gn = (g * gamma.data.reshape(1, C, 1)).reshape(shape)
+            tmp = np.multiply(gn, normed, out=tmp.reshape(shape))
+            m = tmp.mean(axis=2, keepdims=True)
+            gn -= gn.mean(axis=2, keepdims=True)
+            gn -= np.multiply(normed, m, out=tmp)
+            gn *= inv
+            accumulate(x, gn.reshape(B, C, L))
+    return make_node(val, (x, gamma, beta), rule)
 
 
 def rdft(x: Tensor) -> tuple[Tensor, Tensor]:
@@ -453,18 +380,10 @@ def rdft(x: Tensor) -> tuple[Tensor, Tensor]:
         padded[..., : c.shape[-1]] = c
         return np.real(L * np.fft.ifft(padded, axis=-1))
 
-    def factory_re(out):
-        def backward():
-            accumulate(x, adjoint(out.grad, np.zeros_like(out.grad)))
-        return backward
-
-    def factory_im(out):
-        def backward():
-            accumulate(x, adjoint(np.zeros_like(out.grad), out.grad))
-        return backward
-
-    re = make_node(np.real(spec), (x,), factory_re)
-    im = make_node(np.imag(spec), (x,), factory_im)
+    re = make_node(np.real(spec), (x,),
+                   lambda g: accumulate(x, adjoint(g, np.zeros_like(g))))
+    im = make_node(np.imag(spec), (x,),
+                   lambda g: accumulate(x, adjoint(np.zeros_like(g), g)))
     return re, im
 
 
@@ -477,11 +396,7 @@ def resample_linear(x: Tensor, t_out: int) -> Tensor:
         raise DimensionError("t_out must be >= 1")
     T = x.shape[2]
     if t_out == T:
-        def factory_id(out):
-            def backward():
-                accumulate(x, out.grad)
-            return backward
-        return make_node(x.data.copy(), (x,), factory_id)
+        return make_node(x.data.copy(), (x,), lambda g: accumulate(x, g))
 
     if t_out == 1:
         pos = np.zeros(1)
@@ -493,12 +408,9 @@ def resample_linear(x: Tensor, t_out: int) -> Tensor:
     w = pos - i0
     val = x.data[:, :, i0] * (1.0 - w) + x.data[:, :, i1] * w
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (slice(None), slice(None), i0), g * (1.0 - w))
-            np.add.at(gx, (slice(None), slice(None), i1), g * w)
-            accumulate(x, gx)
-        return backward
-    return make_node(val, (x,), factory)
+    def rule(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (slice(None), slice(None), i0), g * (1.0 - w))
+        np.add.at(gx, (slice(None), slice(None), i1), g * w)
+        accumulate(x, gx)
+    return make_node(val, (x,), rule)

@@ -4,8 +4,14 @@ A :class:`Tensor` wraps a ``numpy.ndarray`` and records the operations
 applied to it.  Calling :meth:`Tensor.backward` on a scalar result walks
 the recorded graph in reverse topological order and accumulates gradients
 into every leaf that has ``requires_grad=True``.
+
+An operation states only its gradient rule: :func:`make_node` takes
+``rule(g)``, which adds the input gradients for an output gradient ``g``,
+and is the one place that knows how a node stores and runs it.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -153,18 +159,25 @@ def accumulate(t: Tensor, grad: np.ndarray) -> None:
     t.grad = grad if t.grad is None else t.grad + grad
 
 
-def make_node(data: np.ndarray, inputs: tuple[Tensor, ...], backward_factory):
+def _bind(rule, node: Tensor):
+    """The zero-argument closure that runs ``rule`` on ``node.grad``."""
+    return lambda: rule(node.grad)
+
+
+def make_node(data: np.ndarray, inputs: tuple[Tensor, ...], rule):
     """Create an output tensor; record the graph edge if grads are live.
 
-    ``backward_factory(out)`` must return a zero-argument closure that
-    reads ``out.grad`` and accumulates into the inputs.  The factory is
-    stored unbound and invoked with the node at sweep time, so a node
-    never holds a closure referencing itself: finished graphs are freed
-    by reference counting alone instead of waiting for cycle collection.
+    ``rule(g)`` adds the inputs' gradients for the output gradient ``g``
+    (through :func:`accumulate`) and must not refer to the output tensor.
+    The node stores ``partial(_bind, rule)`` as ``_backward``, and the
+    sweep calls ``node._backward(node)()``, which binds ``node.grad`` only
+    then.  So a node never holds a closure referencing itself: finished
+    graphs are freed by reference counting alone instead of waiting for
+    cycle collection.
     """
     track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
         out._prev = tuple(inputs)
-        out._backward = backward_factory
+        out._backward = partial(_bind, rule)
     return out

@@ -59,20 +59,6 @@ class SignalWindow:
 
 
 @dataclass
-class PeakSet:
-    indices: np.ndarray
-    min_distance_s: float
-    prominence_frac: float
-    height_percentile: float
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-
-@dataclass
 class CorruptionSpec:
     kind: str  # noise | baseline | clip | flatline
     noise_sigma: float = 0.0
@@ -168,8 +154,9 @@ def detect_peaks(
     min_distance_s: float,
     prominence_frac: float,
     height_percentile: float,
-) -> PeakSet:
-    """Systolic peak detection on a bandpass-filtered window.
+) -> np.ndarray:
+    """Sorted int64 indices of the systolic peaks of a bandpass-filtered
+    window.
 
     A candidate must be a strict local maximum, exceed the stated
     percentile of the filtered samples, and have topographic prominence
@@ -186,21 +173,20 @@ def detect_peaks(
     cands = cands[x[cands] > height_thr]
     if cands.size:
         cands = cands[_prominences(x, cands) >= prom_thr]
-    kept = _select_peaks(x, cands, int(round(min_distance_s * window.fs)))
-    return PeakSet(kept, min_distance_s, prominence_frac, height_percentile)
+    return _select_peaks(x, cands, int(round(min_distance_s * window.fs)))
 
 
-def systolic_peaks(window: SignalWindow, band, peak_params) -> PeakSet:
+def systolic_peaks(window: SignalWindow, band, peak_params) -> np.ndarray:
     """Peaks of ``window`` after the bandpass ``band`` = (lo, hi) Hz;
     ``peak_params`` are :func:`detect_peaks`'s positional parameters."""
     return detect_peaks(bandpass(window, *band), *peak_params)
 
 
-def estimate_hr(peaks: PeakSet, fs: float) -> tuple[float, float]:
-    """(hr_bpm, mean_ibi_s) from successive peak gaps."""
+def estimate_hr(peaks: np.ndarray, fs: float) -> tuple[float, float]:
+    """(hr_bpm, mean_ibi_s) from the gaps between successive peak indices."""
     if len(peaks) < 2:
         raise InsufficientPeaksError("need at least two peaks for HR")
-    mean_ibi = float(np.diff(peaks.indices).mean()) / fs
+    mean_ibi = float(np.diff(peaks).mean()) / fs
     return 60.0 / mean_ibi, mean_ibi
 
 
@@ -327,11 +313,16 @@ def rr_from_co2(co2: np.ndarray, fs: float) -> Optional[float]:
     co2 = np.asarray(co2, dtype=np.float64)
     if co2.size < fs * 2:
         raise ParameterError("CO2 segment must span at least 2 s")
-    smoothed = np.empty_like(co2)
-    for i in range(co2.size):
-        lo = max(0, i - 2)
-        hi = min(co2.size, i + 3)
-        smoothed[i] = co2[lo:hi].mean()
+    # five shifted adds over a copy padded with two zeros on each side,
+    # summed from +0 in the order a per-sample slice mean sums them
+    n = co2.size
+    padded = np.zeros(n + 4)
+    padded[2:-2] = co2
+    smoothed = np.zeros(n)
+    for k in range(5):
+        smoothed += padded[k:k + n]
+    i = np.arange(n)
+    smoothed /= np.minimum(i, 2) + np.minimum(n - 1 - i, 2) + 1
     cands = _local_maxima(smoothed)
     if cands.size:
         cands = cands[_prominences(smoothed, cands) >= 0.05]

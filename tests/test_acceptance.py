@@ -352,7 +352,7 @@ class TestCriterion6Oracles:
         x[[50, 150, 250, 350]] = 1.0
         w = sg.SignalWindow(x, fs)
         peaks = sg.detect_peaks(w, 0.35, 0.1, 60.0)
-        np.testing.assert_array_equal(peaks.indices, [50, 150, 250, 350])
+        np.testing.assert_array_equal(peaks, [50, 150, 250, 350])
         hr, ibi = sg.estimate_hr(peaks, fs)
         assert hr == pytest.approx(60.0) and ibi == pytest.approx(1.0)
         report("6 peak detector and HR exact on impulse trains: PASS")

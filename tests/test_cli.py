@@ -15,7 +15,7 @@ from vampdiff.cli import (
     synth_dataset,
     write_recording_csv,
 )
-from vampdiff.config import desk_config
+from vampdiff.config import ConfigError, desk_config
 from vampdiff.model import VampDiffModel
 
 
@@ -204,6 +204,35 @@ class TestCommands:
         assert err.startswith("ERROR ") and "model.vdp" in err and name in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda m: m["arrays"][0].pop("shape"), "shape"),
+        (lambda m: m["arrays"][0].pop("offset"), "offset"),
+        (lambda m: m["arrays"][0].update(shape=[-1]), "shape"),
+        (lambda m: m["arrays"][0].update(name=3), "name"),
+        (lambda m: m.update(arrays={"a": 1}), "arrays"),
+        (lambda m: m.update(norm_stats=[0.0, 1.0]), "norm_stats"),
+        (lambda m: m.update(config=5), "config"),
+        (lambda m: m.update(meta=[]), "meta"),
+        (lambda m: m["config"].update(window_len="abc"), "window_len"),
+    ])
+    def test_malformed_manifest_is_a_clean_error(self, tmp_path, capsys,
+                                                 edit, field):
+        ckpt = self.make_ckpt(tmp_path)
+        raw = ckpt.read_bytes()
+        n = int.from_bytes(raw[8:16], "little")
+        manifest = json.loads(raw[16:16 + n])
+        edit(manifest)
+        blob = json.dumps(manifest).encode()
+        ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[16 + n:])
+        rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and "model.vdp" in err
+        assert f"{field!r}" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unexpected_parameter_is_a_clean_error(self, tmp_path, capsys):
         model = VampDiffModel(desk_config(), rng=np.random.default_rng(0))
         arrays = {**model.state_arrays(), "unet.nonexistent": np.zeros(3)}
@@ -230,6 +259,28 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR ") and "steps" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("fs", "75"), ("window_len", "abc"), ("window_len", 768.0),
+        ("rr_widths", "abc"), ("rr_widths", [8, 16.5]), ("lr_decoder", None),
+        ("seed", True), ("kl_beta_zero", 1), ("profile", 3),
+    ])
+    def test_wrongly_typed_config_is_a_clean_error(self, tmp_path, capsys,
+                                                   key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**desk_config().to_dict(), key: value}))
+        rc = main(["train", "--config", str(p), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"ERROR config key {key!r} must be ")
+
+    def test_int_in_a_float_field_is_kept(self):
+        from vampdiff.config import RunConfig
+        d = {**desk_config().to_dict(), "fs": 75, "lr_decoder": 1}
+        assert RunConfig.from_dict(d).to_dict() == d
+        with pytest.raises(ConfigError, match="must be an object"):
+            RunConfig.from_dict([d])
 
     def test_schedule_out_of_range_is_a_clean_error(self, tmp_path, capsys):
         # the linear schedule's beta_T = 0.02 * 1000 / T reaches 1 below 21

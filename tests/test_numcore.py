@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -432,21 +434,86 @@ def test_no_grad_blocks_graph():
     assert not y.requires_grad and y.is_leaf()
 
 
-def test_graph_frees_by_refcount_alone():
-    """A consumed graph must die when the root is dropped, without the
-    cycle collector: nodes never hold closures referencing themselves."""
+def every_op_loss(rng):
+    """(scalar loss, leaves) whose graph goes through every numcore op and
+    the U-Net's ``rsum_slice``."""
+    from vampdiff.model.unet import rsum_slice
+
+    leaves = []
+
+    def leaf(*shape):
+        leaves.append(Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=True))
+        return leaves[-1]
+
+    x = leaf(2, 4, 8)
+    re, im = nc.rdft(x)
+    terms = {
+        "add": nc.add(x, x),
+        "sub": nc.sub(x, leaf(4, 1)),
+        "mul": nc.mul(x, x),
+        "negate": nc.negate(x),
+        "scale": nc.scale(x, 2.0),
+        "silu": nc.silu(x),
+        "exp": nc.exp(x),
+        "log": nc.log(x),
+        "log1p": nc.log1p(x),
+        "square": nc.square(x),
+        "sqrt": nc.sqrt(x),
+        "clamp": nc.clamp(x, 0.8, 1.2),
+        "huber": nc.huber(x),
+        "reshape": nc.reshape(x, (8, 8)),
+        "rsum": nc.rsum(x, axes=2, keepdims=True),
+        "rmean": nc.rmean(x, axes=(0, 2)),
+        "rmax": nc.rmax(x, axes=1),
+        "rmin": nc.rmin(x, axes=2, keepdims=True),
+        "rstd": nc.rstd(x, axes=2),
+        "linear": nc.linear(nc.reshape(x, (2, 32)), leaf(3, 32), leaf(3)),
+        "conv1d": nc.conv1d(x, leaf(3, 4, 3), leaf(3), padding=1),
+        "groupnorm": nc.groupnorm(x, 2, leaf(4), leaf(4)),
+        "rdft": nc.add(re, im),
+        # t_out == T takes the copy path
+        "resample_linear": nc.add(nc.rsum(nc.resample_linear(x, 5)),
+                                  nc.rsum(nc.resample_linear(x, 8))),
+        "rsum_slice": rsum_slice(nc.reshape(x, (2, 2, 2, 8)), 1),
+    }
+    ops = {name for name in nc.__all__ if name.islower()} - {"no_grad"}
+    assert set(terms) == ops | {"rsum_slice"}
+    return reduce(nc.add, (nc.rsum(t) for t in terms.values())), leaves
+
+
+def _leaked_tensors(build) -> list:
+    """Tensors the cycle collector finds after ``build()`` drops its graph;
+    a graph freed by reference counting alone leaves none."""
     import gc
 
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        x = Tensor(np.ones(4), requires_grad=True)
-        loss = nc.rsum(nc.square(x))
-        loss.backward()
-        del loss
+        build()
         gc.collect()
-        leaked = [o for o in gc.garbage if isinstance(o, Tensor)]
-        assert not leaked
+        return [o for o in gc.garbage if isinstance(o, Tensor)]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+def test_graph_frees_by_refcount_alone():
+    """A consumed graph must die when the root is dropped, without the
+    cycle collector: nodes never hold closures referencing themselves."""
+    def build():
+        loss, leaves = every_op_loss(np.random.default_rng(0))
+        loss.backward()
+        assert all(t.grad is not None for t in leaves)
+
+    assert not _leaked_tensors(build)
+
+
+def test_unswept_graph_frees_by_refcount_alone():
+    """The same without ``backward()``: a sweep drops every interior node's
+    rule, so only an unswept graph shows a rule that refers to its own
+    output."""
+    def build():
+        loss, _ = every_op_loss(np.random.default_rng(0))
+        assert loss._prev
+
+    assert not _leaked_tensors(build)

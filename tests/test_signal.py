@@ -57,7 +57,7 @@ def test_detect_peaks_impulse_train():
     x = np.zeros(400)
     x[[50, 150, 250]] = 1.0
     peaks = sg.detect_peaks(sg.SignalWindow(x, 100.0), 0.35, 0.1, 60.0)
-    np.testing.assert_array_equal(peaks.indices, [50, 150, 250])
+    np.testing.assert_array_equal(peaks, [50, 150, 250])
 
 
 def test_detect_peaks_constant_signal_empty():
@@ -70,7 +70,7 @@ def test_detect_peaks_min_distance_keeps_higher():
     x[50] = 1.0
     x[70] = 0.8  # 0.2 s apart at fs=100, min distance 0.35 s
     peaks = sg.detect_peaks(sg.SignalWindow(x, 100.0), 0.35, 0.1, 60.0)
-    np.testing.assert_array_equal(peaks.indices, [50])
+    np.testing.assert_array_equal(peaks, [50])
 
 
 def test_detect_peaks_gap_invariant():
@@ -79,35 +79,35 @@ def test_detect_peaks_gap_invariant():
         x = rng.normal(size=500)
         peaks = sg.detect_peaks(sg.SignalWindow(x, 100.0), 0.1, 0.05, 50.0)
         if len(peaks) > 1:
-            assert np.all(np.diff(peaks.indices) >= round(0.1 * 100))
-            assert np.all(np.diff(peaks.indices) > 0)
+            assert np.all(np.diff(peaks) >= round(0.1 * 100))
+            assert np.all(np.diff(peaks) > 0)
 
 
 def test_peak_indices_amplitude_invariant():
     x = sg.synth_ppg(75, 15, 90, 15, amp=1.0, seed=3)
     a = sg.systolic_peaks(sg.SignalWindow(x, 75.0), BAND, PEAKS)
     b = sg.systolic_peaks(sg.SignalWindow(4.2 * x + 10.0, 75.0), BAND, PEAKS)
-    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a, b)
 
 
 # ------------------------------------------------------------------------ HR
 
 
 def test_estimate_hr_uniform_spacing():
-    peaks = sg.PeakSet(np.array([0, 50, 100, 150]), 0.35, 0.1, 60.0)
+    peaks = np.array([0, 50, 100, 150])
     hr, ibi = sg.estimate_hr(peaks, 100.0)
     assert hr == pytest.approx(120.0)
     assert ibi == pytest.approx(0.5)
 
 
 def test_estimate_hr_one_second_spacing():
-    peaks = sg.PeakSet(np.array([0, 100, 200]), 0.35, 0.1, 60.0)
+    peaks = np.array([0, 100, 200])
     hr, _ = sg.estimate_hr(peaks, 100.0)
     assert hr == pytest.approx(60.0)
 
 
 def test_estimate_hr_mean_of_gaps():
-    peaks = sg.PeakSet(np.array([0, 40, 100]), 0.35, 0.1, 60.0)
+    peaks = np.array([0, 40, 100])
     hr, ibi = sg.estimate_hr(peaks, 100.0)
     assert ibi == pytest.approx(0.5)
     assert hr == pytest.approx(120.0)
@@ -115,7 +115,7 @@ def test_estimate_hr_mean_of_gaps():
 
 def test_estimate_hr_insufficient_peaks():
     with pytest.raises(sg.InsufficientPeaksError):
-        sg.estimate_hr(sg.PeakSet(np.array([5]), 0.35, 0.1, 60.0), 100.0)
+        sg.estimate_hr(np.array([5]), 100.0)
 
 
 # ------------------------------------------------------------------- segment
