@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .signal import NormStats
+from .signal import NormStats, ParameterError
 
 MAGIC = b"VAMPDIF1"
 
@@ -95,11 +95,11 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path} is not a checkpoint container")
     blob_len = int.from_bytes(raw[8:16], "little")
     if 16 + blob_len > len(raw):
-        raise CheckpointError("truncated manifest")
+        raise CheckpointError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(raw[16:16 + blob_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointError(f"corrupt manifest: {e}") from None
+        raise CheckpointError(f"{path}: corrupt manifest: {e}") from None
     _check_manifest(path, manifest)
     try:
         config = RunConfig.from_dict(manifest["config"])
@@ -117,7 +117,8 @@ def load_checkpoint(path):
                                   f"{start}, expected {end}")
         end = start + 4 * count
         if end > len(payload):
-            raise CheckpointError(f"truncated payload for {entry['name']!r}")
+            raise CheckpointError(f"{path}: truncated payload for "
+                                  f"{entry['name']!r}")
         arr = np.frombuffer(
             payload[start:end], dtype="<f4").reshape(shape).astype(np.float64)
         if not np.isfinite(arr).all():
@@ -135,7 +136,10 @@ def load_checkpoint(path):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise CheckpointError(f"{path}: norm_stats {key!r} is not a "
                                       "finite number")
-        norm_stats = NormStats(ns["mu_train"], ns["sigma_train"])
+        try:
+            norm_stats = NormStats(ns["mu_train"], ns["sigma_train"])
+        except ParameterError as e:
+            raise CheckpointError(f"{path}: norm_stats: {e}") from None
     return config, arrays, norm_stats, manifest.get("meta", {})
 
 

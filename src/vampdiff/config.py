@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,6 +15,10 @@ class ConfigError(Exception):
 # The linear diffusion schedule scales the 1000-step endpoints (1e-4, 0.02)
 # by 1000 / T, so beta_T = 20 / T stays below 1 only for T > 20.
 MIN_DIFFUSION_STEPS = 21
+
+# int fields that may be 0; every other int field is a size or count >= 1
+ZERO_ALLOWED = {"quality_min_peaks", "epochs", "freeze_epochs", "rr_epochs",
+                "seed"}
 
 
 def _has_type(value, annotation: str) -> bool:
@@ -107,6 +112,24 @@ class RunConfig:
             if not _has_type(value, f.type):
                 raise ConfigError(
                     f"config key {f.name!r} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"config key {f.name!r} must be finite, "
+                                  f"got {value!r}")
+            ints = {"int": [value], "tuple[int, ...]": value}.get(f.type, [])
+            low = 0 if f.name in ZERO_ALLOWED else 1
+            if any(v < low for v in ints):
+                raise ConfigError(f"config key {f.name!r} must be >= {low}, "
+                                  f"got {value!r}")
+        if not math.isfinite(256 * self.width_factor):
+            raise ConfigError("config key 'width_factor' gives non-finite "
+                              "widths")
+        if self.time_embed_dim % 2:
+            raise ConfigError("config key 'time_embed_dim' must be even")
+        channels = (*self.widths, self.rr_stem_channels, *self.rr_widths)
+        if any(c % self.groupnorm_groups for c in channels):
+            raise ConfigError(
+                f"config key 'groupnorm_groups' ({self.groupnorm_groups}) "
+                f"must divide every channel count, got {channels}")
         if self.profile not in {"full", "desk"}:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.window_len % 4 != 0:
@@ -120,8 +143,6 @@ class RunConfig:
                 f"diffusion_steps must be >= {MIN_DIFFUSION_STEPS}")
         if not 1 <= self.ddim_steps <= self.diffusion_steps:
             raise ConfigError("ddim_steps must be in 1..diffusion_steps")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.epochs > 0 and self.freeze_epochs >= self.epochs:
             raise ConfigError("freeze_epochs must be < epochs")
         if not (self.freeze_epochs < self.beta_floor_until < self.beta_ramp_until):

@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import signal as sg
-from .model import reconstruct as _reconstruct
-from .model import generate as _generate
-from .model import interpolate_latent, seeded_noise
-from .model.sampler import _decode
+from .model.sampler import decode_shared_noise, interpolate_latent
+from .model.sampler import generate as _generate
+from .model.sampler import reconstruct as _reconstruct
 from .numcore import Tensor, no_grad
 
 
@@ -50,17 +49,10 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (0.5 * ((ends - counts) + (ends - 1)) + 1.0)[group]
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:
@@ -92,27 +84,21 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
+def _counts_above(scores: np.ndarray, labels: np.ndarray):
+    """Per distinct score, highest first: the positives at that score, and
+    the positives and windows at or above it."""
+    _, group, counts = np.unique(-scores, return_inverse=True,
+                                 return_counts=True)
+    d_tp = np.bincount(group[labels == 1], minlength=counts.size)
+    return d_tp, np.cumsum(d_tp), np.cumsum(counts)
+
+
 def auprc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Average precision: step-wise precision at each positive threshold."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = _check_binary(labels)
-    n_pos = int(labels.sum())
-    order = np.argsort(-scores, kind="stable")
-    s, y = scores[order], labels[order]
-    ap = 0.0
-    tp = fp = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[j + 1] == s[i]:
-            j += 1
-        d_tp = int(y[i:j + 1].sum())
-        d_fp = (j - i + 1) - d_tp
-        tp += d_tp
-        fp += d_fp
-        ap += d_tp * tp / (tp + fp)
-        i = j + 1
-    return float(ap / n_pos)
+    d_tp, tp, n = _counts_above(scores, labels)
+    return float(np.cumsum(d_tp * tp / n)[-1] / labels.sum())
 
 
 def tpr_at_fpr(scores: np.ndarray, labels: np.ndarray,
@@ -122,15 +108,9 @@ def tpr_at_fpr(scores: np.ndarray, labels: np.ndarray,
     labels = _check_binary(labels)
     if not 0 <= fpr <= 1:
         raise EvalError("fpr must be in [0, 1]")
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    best = 0.0
-    for thr in np.unique(scores)[::-1]:
-        pred = scores >= thr
-        cur_fpr = (pred & (labels == 0)).sum() / n_neg
-        if cur_fpr <= fpr:
-            best = max(best, (pred & (labels == 1)).sum() / n_pos)
-    return float(best)
+    _, tp, n = _counts_above(scores, labels)
+    ok = (n - tp) / (labels.size - labels.sum()) <= fpr
+    return float(tp[ok][-1] / labels.sum()) if ok.any() else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -187,20 +167,23 @@ class ReconReport:
         return out
 
 
-def reconstruction_report(model, windows: list[sg.SignalWindow],
-                          seed: int = 0, batch_size: int = 16) -> ReconReport:
-    """Posterior-mean reconstructions of denormalized windows + metrics."""
+def _normalized(model, windows: list[sg.SignalWindow]) -> np.ndarray:
+    """The windows as one normalized [N,1,L] batch."""
     if model.norm_stats is None:
         raise EvalError("model has no normalization stats")
-    report = ReconReport()
+    if not windows:
+        raise EvalError("no windows to reconstruct")
     xn = model.norm_stats.normalize(np.stack([w.samples for w in windows]))
-    for start in range(0, len(windows), batch_size):
-        batch = xn[start:start + batch_size][:, None, :]
-        recon = _reconstruct(model, batch, seed=seed + start)
-        for i, w in enumerate(windows[start:start + batch_size]):
-            what = sg.SignalWindow(recon[i, 0], w.fs)
-            report.records.append(recon_metrics(w, what, model.config))
-    return report
+    return xn[:, None, :]
+
+
+def reconstruction_report(model, windows: list[sg.SignalWindow],
+                          seed: int = 0) -> ReconReport:
+    """Posterior-mean reconstructions of denormalized windows + metrics."""
+    recon = _reconstruct(model, _normalized(model, windows), seed=seed)
+    return ReconReport([recon_metrics(w, sg.SignalWindow(r[0], w.fs),
+                                      model.config)
+                        for w, r in zip(windows, recon)])
 
 
 # ----------------------------------------------------------------------
@@ -212,32 +195,27 @@ def sensitivity_ratio(x0: np.ndarray, model, seed: int = 0) -> float:
     and a random latent (shared terminal noise), over the posterior-mean
     decoding's range."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(1, 1, -1)
-    L = x0.shape[2]
     with no_grad():
         post = model.encode(Tensor(x0))
     z_mu = post.mu
     z_rand = Tensor(np.random.default_rng((seed, 1)).standard_normal(
         z_mu.shape))
-    x_T = seeded_noise((1, 1, L), seed)
-    dec_mu = _decode(model, z_mu, x_T, denorm=False)
-    dec_rand = _decode(model, z_rand, x_T, denorm=False)
+    dec_mu = decode_shared_noise(model, z_mu, seed, denorm=False)
+    dec_rand = decode_shared_noise(model, z_rand, seed, denorm=False)
     rng_ = float(dec_mu.max() - dec_mu.min())
     if rng_ == 0:
         raise UndefinedRatioError("posterior-mean decoding has zero range")
     return float(np.abs(dec_mu - dec_rand).mean() / rng_)
 
 
-def anomaly_scores(x0: sg.SignalWindow, model,
-                   seed: int = 0) -> tuple[float, float]:
-    """(MAE score, 1 - Pearson score) of a window vs its reconstruction,
-    both on denormalized signals."""
-    if model.norm_stats is None:
-        raise EvalError("model has no normalization stats")
-    xn = model.norm_stats.normalize(x0.samples)[None, None, :]
-    recon = _reconstruct(model, xn, seed=seed)[0, 0]
-    mae = float(np.abs(x0.samples - recon).mean())
-    corr = 1.0 - pearson(x0.samples, recon)
-    return mae, corr
+def anomaly_scores(model, windows: list[sg.SignalWindow],
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window (MAE, 1 - Pearson) of each window against its
+    reconstruction, both on denormalized signals."""
+    recon = _reconstruct(model, _normalized(model, windows), seed=seed)
+    pairs = [(w.samples, r[0]) for w, r in zip(windows, recon)]
+    return (np.array([np.abs(a - b).mean() for a, b in pairs]),
+            np.array([1.0 - pearson(a, b) for a, b in pairs]))
 
 
 @dataclass
@@ -252,13 +230,16 @@ class AnomalyReport:
 def anomaly_report(model, clean: list[sg.SignalWindow],
                    corrupted: list[tuple[str, sg.SignalWindow]],
                    seed: int = 0) -> AnomalyReport:
-    """Score clean vs corrupted windows by reconstruction error."""
-    scored = [("clean", w) for w in clean] + list(corrupted)
-    kinds = [kind for kind, _ in scored]
+    """Score clean vs corrupted windows by reconstruction error.
+
+    Both sets are reconstructed under the same seed, so the i-th clean and
+    the i-th corrupted window start from the same terminal noise.
+    """
+    kinds = ["clean"] * len(clean) + [kind for kind, _ in corrupted]
     labels = np.array([0] * len(clean) + [1] * len(corrupted))
-    scores = np.array([anomaly_scores(w, model, seed=seed + i)
-                       for i, (_, w) in enumerate(scored)]).reshape(-1, 2)
-    scores_mae, scores_corr = scores[:, 0], scores[:, 1]
+    scores_mae, scores_corr = map(np.concatenate, zip(
+        anomaly_scores(model, clean, seed),
+        anomaly_scores(model, [w for _, w in corrupted], seed)))
     per_kind = {}
     for kind in sorted({k for k in kinds if k != "clean"}):
         mask = np.array([k in ("clean", kind) for k in kinds])
@@ -356,8 +337,7 @@ def generation_report(model, n: int, reference: list[sg.SignalWindow],
 # ----------------------------------------------------------------------
 
 def rr_consistency(windows: list[sg.SignalWindow], labels: list,
-                   model, rr_net, seed: int = 0,
-                   batch_size: int = 16) -> dict:
+                   model, rr_net, seed: int = 0) -> dict:
     """Compare the RR estimator on real windows and their reconstructions.
 
     labels[i] is the capnography-derived breaths/min for windows[i] or
@@ -365,24 +345,14 @@ def rr_consistency(windows: list[sg.SignalWindow], labels: list,
     """
     if len(windows) != len(labels):
         raise EvalError("windows and labels must align")
-    if model.norm_stats is None:
-        raise EvalError("model has no normalization stats")
-    xn = model.norm_stats.normalize(np.stack([w.samples for w in windows]))
-    recs = []
-    for start in range(0, len(windows), batch_size):
-        batch = xn[start:start + batch_size]
-        recon = _reconstruct(model, batch[:, None, :], seed=seed + start,
-                             denorm=False)
-        with no_grad():
-            pred_real = rr_net(Tensor(batch[:, None, :])).data
-            pred_recon = rr_net(Tensor(recon)).data
-        for i in range(batch.shape[0]):
-            recs.append({
-                "rr_label": labels[start + i],
-                "pred_real": float(pred_real[i]),
-                "pred_recon": float(pred_recon[i]),
-                "abs_delta": float(abs(pred_real[i] - pred_recon[i])),
-            })
+    xn = _normalized(model, windows)
+    recon = _reconstruct(model, xn, seed=seed, denorm=False)
+    with no_grad():
+        pred_real = rr_net(Tensor(xn)).data
+        pred_recon = rr_net(Tensor(recon)).data
+    recs = [{"rr_label": label, "pred_real": float(a),
+             "pred_recon": float(b), "abs_delta": float(abs(a - b))}
+            for label, a, b in zip(labels, pred_real, pred_recon)]
     labeled = [r for r in recs if r["rr_label"] is not None]
     out = {
         "records": recs,
@@ -404,12 +374,9 @@ def interpolation_sweep(x_lo: sg.SignalWindow, x_hi: sg.SignalWindow,
     for name, w in (("x_lo", x_lo), ("x_hi", x_hi)):
         if _hr_of(w, model.config) is None:
             raise EvalError(f"{name} has no detectable heart rate")
-    if model.norm_stats is None:
-        raise EvalError("model has no normalization stats")
     alphas = sorted(float(x) for x in np.atleast_1d(alphas))
-    ns = model.norm_stats
-    decoded = interpolate_latent(model, ns.normalize(x_lo.samples),
-                                 ns.normalize(x_hi.samples),
+    xn = _normalized(model, [x_lo, x_hi])
+    decoded = interpolate_latent(model, xn[0, 0], xn[1, 0],
                                  np.asarray(alphas), seed=seed)
     out = []
     for i, alpha in enumerate(alphas):

@@ -61,44 +61,60 @@ def _decode(model, z: Tensor, x_T: np.ndarray, denorm: bool) -> np.ndarray:
     return out
 
 
+# Rows per DDIM decode in reconstruct and generate.
+BATCH = 32
+
+
+def _decode_rows(model, n: int, latent, seed: int, denorm: bool):
+    """Decode ``n`` rows ``BATCH`` at a time: ``latent(rows)`` gives the
+    latent of a range of rows, and row j starts from the terminal noise
+    keyed by ``(seed, j)``."""
+    L = model.config.window_len
+    outs = []
+    for start in range(0, n, BATCH):
+        rows = range(start, min(start + BATCH, n))
+        x_T = np.stack([seeded_noise((1, L), seed, j) for j in rows])
+        outs.append(_decode(model, latent(rows), x_T, denorm))
+    return np.concatenate(outs, axis=0)
+
+
 def reconstruct(model, x: np.ndarray, seed: int = 0,
                 denorm: bool = True) -> np.ndarray:
-    """Encode each window to its posterior mean and run the reverse pass.
-
-    ``x`` is a normalized batch [B,1,L]; returns [B,1,L] in original
-    units when ``denorm`` and the model carries normalization stats.
-    """
+    """Encode each window of a normalized [N,1,L] batch to its posterior
+    mean and run the reverse pass, with terminal noise keyed as in
+    :func:`generate`. Returns [N,1,L], in original units when ``denorm``
+    and the model carries normalization stats."""
     x = np.asarray(x, dtype=np.float64)
-    B, _, L = x.shape
-    with no_grad():
-        post = model.encode(Tensor(x))
-        z = post.mu
-    x_T = np.stack([seeded_noise((1, L), seed, i) for i in range(B)])
-    return _decode(model, z, x_T, denorm)
+
+    def posterior_mean(rows):
+        with no_grad():
+            return model.encode(Tensor(x[rows])).mu
+    return _decode_rows(model, x.shape[0], posterior_mean, seed, denorm)
 
 
-def generate(model, n: int, seed: int = 0, batch_size: int = 32,
-             denorm: bool = True) -> np.ndarray:
+def generate(model, n: int, seed: int = 0, denorm: bool = True) -> np.ndarray:
     """Draw n windows: pick pseudo-input components uniformly, sample the
     full-resolution latent from the component posterior, then decode."""
     if n < 1:
         raise SamplerError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    L = model.config.window_len
     ks = rng.integers(0, model.pseudo.K, size=n)
-    outs = []
     with no_grad():
-        pseudo_post = model.encode(model.pseudo.as_batch())
-    for start in range(0, n, batch_size):
-        sel = ks[start:start + batch_size]
-        mu = pseudo_post.mu.data[sel]
-        logvar = pseudo_post.logvar.data[sel]
+        post = model.encode(model.pseudo.as_batch())
+
+    def component_draw(rows):
+        mu, logvar = post.mu.data[ks[rows]], post.logvar.data[ks[rows]]
         eps = rng.standard_normal(mu.shape)
-        z = Tensor(mu + np.exp(0.5 * logvar) * eps)
-        x_T = np.stack([seeded_noise((1, L), seed, start + i)
-                        for i in range(len(sel))])
-        outs.append(_decode(model, z, x_T, denorm))
-    return np.concatenate(outs, axis=0)
+        return Tensor(mu + np.exp(0.5 * logvar) * eps)
+    return _decode_rows(model, n, component_draw, seed, denorm)
+
+
+def decode_shared_noise(model, z: Tensor, seed: int,
+                        denorm: bool = True) -> np.ndarray:
+    """Decode every latent row of ``z`` from the one terminal draw keyed by
+    ``(seed, 0)``, so that rows differ by their latent alone."""
+    x_T = seeded_noise((1, 1, model.config.window_len), seed)
+    return _decode(model, z, np.repeat(x_T, z.shape[0], axis=0), denorm)
 
 
 def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
@@ -120,6 +136,4 @@ def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
         post = model.encode(Tensor(pair))
     za, zb = post.mu.data[0], post.mu.data[1]
     z = Tensor(np.stack([(1 - a) * za + a * zb for a in alphas]))
-    L = pair.shape[2]
-    x_T = np.repeat(seeded_noise((1, 1, L), seed), alphas.size, axis=0)
-    return _decode(model, z, x_T, denorm)
+    return decode_shared_noise(model, z, seed, denorm)

@@ -450,11 +450,10 @@ class TestCriterion7DeskEndToEnd:
         noise_spec = sg.CorruptionSpec("noise", noise_sigma=0.5)
         corrupted = [("noise", sg.corrupt(w, noise_spec, seed=100 + i))
                      for i, w in enumerate(clean)]
-        clean_scores = [ev.anomaly_scores(w, model, seed=i)[0]
-                        for i, w in enumerate(clean)]
-        corr_scores = [ev.anomaly_scores(w, model, seed=1000 + i)[0]
-                       for i, (_, w) in enumerate(corrupted)]
-        scores = np.array(clean_scores + corr_scores)
+        clean_scores = ev.anomaly_scores(model, clean, seed=0)[0]
+        corr_scores = ev.anomaly_scores(model, [w for _, w in corrupted],
+                                        seed=0)[0]
+        scores = np.concatenate([clean_scores, corr_scores])
         labels = np.array([0] * len(clean_scores) + [1] * len(corr_scores))
         a = ev.auroc(scores, labels)
         med_ok = np.median(corr_scores) > np.median(clean_scores)
@@ -508,7 +507,7 @@ class TestCriterion8Ablations:
             model.norm_stats = sg.NormStats(0.0, 1.0)
             hist = fit(model, x)
             assert len(hist) == cfg.epochs
-            out = model_generate(model, 2, seed=0, batch_size=2)
+            out = model_generate(model, 2, seed=0)
             assert np.isfinite(out).all()
         report("8 ablation hooks run end-to-end: PASS")
 

@@ -4,7 +4,8 @@
 wrappers call ``ddim_sample`` and ``train_step`` with positional arguments.
 A rename or a changed signature makes every traced benchmark run fail; this
 test fails first. A traced ``evaluate`` must also decode exactly the windows
-``bench/workloads.py`` counts and write the same bytes as an untraced one.
+``bench/workloads.py`` counts, in one sampler call per window set, and
+write the same bytes as an untraced one.
 """
 import importlib.util
 import inspect
@@ -152,7 +153,13 @@ def test_traced_evaluate_matches_workload_count_and_bytes(tmp_path):
         tracer.uninstall()
     assert rc == 0
 
-    assert sum(tracer.report()["sampler_batches"]) == evaluate.windows(ctx)
+    batches = tracer.report()["sampler_batches"]
+    assert sum(batches) == evaluate.windows(ctx)
+    # one decode per window set, in report order: reconstruction,
+    # generation, clean and corrupted anomaly scoring, RR consistency
+    n = evaluate.n_test
+    n_corrupted = min(max(4, n // 3), n)
+    assert batches == [n, scale.eval_gen_n, n, n_corrupted, n]
     plain = sorted((tmp_path / "plain" / "reports").iterdir())
     assert "rr_consistency.csv" in [p.name for p in plain]
     traced = tmp_path / "traced" / "reports"

@@ -1,8 +1,15 @@
 """CLI: CSV ingestion, synthetic datasets, and subcommand behavior."""
+import contextlib
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vampdiff import signal as sg
 from vampdiff.checkpoint import save_checkpoint, save_model
@@ -103,6 +110,16 @@ class TestSynthDataset:
         fa = sorted((tmp_path / "a").rglob("*.csv"))
         fb = sorted((tmp_path / "b").rglob("*.csv"))
         assert [f.read_bytes() for f in fa] == [f.read_bytes() for f in fb]
+
+
+def edit_manifest(raw: bytes, edit) -> bytes:
+    """A checkpoint container whose JSON manifest ``edit`` changed in
+    place, with the payload kept."""
+    n = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16:16 + n])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + n:]
 
 
 class TestCommands:
@@ -218,13 +235,7 @@ class TestCommands:
     def test_malformed_manifest_is_a_clean_error(self, tmp_path, capsys,
                                                  edit, field):
         ckpt = self.make_ckpt(tmp_path)
-        raw = ckpt.read_bytes()
-        n = int.from_bytes(raw[8:16], "little")
-        manifest = json.loads(raw[16:16 + n])
-        edit(manifest)
-        blob = json.dumps(manifest).encode()
-        ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
-                         + raw[16 + n:])
+        ckpt.write_bytes(edit_manifest(ckpt.read_bytes(), edit))
         rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 1
@@ -275,6 +286,35 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(
             f"ERROR config key {key!r} must be ")
 
+    @pytest.mark.parametrize("key,value", [
+        ("pooled_len", 0), ("groupnorm_groups", 0), ("groupnorm_groups", -1),
+        ("latent_channels", 0), ("latent_channels", -1),
+        ("time_embed_dim", 0), ("time_embed_dim", -1), ("seed", -1),
+        ("width_factor", float("nan")), ("width_factor", 1e308),
+        ("groupnorm_groups", 3), ("checkpoint_every", 0),
+        ("lr_decoder", float("nan")), ("time_embed_dim", 7),
+    ])
+    def test_out_of_range_config_is_a_clean_error(self, tmp_path, capsys,
+                                                  key, value):
+        """From a ``train --config`` file and from a checkpoint manifest,
+        before any data is read or any output written."""
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**tiny_config().to_dict(), key: value}))
+        rc = main(["train", "--config", str(p), "--data", str(tmp_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ERROR config key {key!r}")
+        ckpt = self.make_ckpt(tmp_path)
+        ckpt.write_bytes(edit_manifest(
+            ckpt.read_bytes(), lambda m: m["config"].update({key: value})))
+        rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and "model.vdp" in err
+        assert f"config key {key!r}" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_int_in_a_float_field_is_kept(self):
         from vampdiff.config import RunConfig
         d = {**desk_config().to_dict(), "fs": 75, "lr_decoder": 1}
@@ -301,3 +341,95 @@ class TestCommands:
         from vampdiff.config import RunConfig
         again = RunConfig.load(p)
         assert again.to_json() == cfg.to_json()
+
+
+# ----------------------------------------------------------------------
+# checkpoint fuzzing
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def tiny_checkpoint() -> bytes:
+    model = VampDiffModel(tiny_config(), rng=np.random.default_rng(0))
+    model.norm_stats = sg.NormStats(0.0, 1.0)
+    with tempfile.TemporaryDirectory() as d:
+        save_model(Path(d) / "model.vdp", model, meta={"epoch": 0})
+        return (Path(d) / "model.vdp").read_bytes()
+
+
+def generate_from(raw: bytes) -> tuple[int, str, str | None]:
+    """(exit code, stderr, output CSV or None) of ``generate`` on a
+    container holding ``raw``; an exception escaping ``main`` fails the
+    caller's test."""
+    with tempfile.TemporaryDirectory() as d:
+        ckpt, out = Path(d) / "model.vdp", Path(d) / "gen.csv"
+        ckpt.write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["generate", "--ckpt", str(ckpt), "--num", "1",
+                       "--out", str(out)])
+        return rc, err.getvalue(), out.read_text() if out.exists() else None
+
+
+def assert_clean_error(rc, err, out):
+    assert rc == 1
+    assert err.startswith("ERROR ") and err.count("\n") == 1
+    assert "model.vdp" in err
+    assert out is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_truncated_checkpoint_is_a_clean_error(data):
+    """Cut anywhere (header, manifest or payload), a container is refused
+    with a one-line error naming it, never a traceback.
+
+    Flipped payload bytes are not fuzzed: the container has no checksum,
+    so a flipped byte loads as a different finite float (or is refused as
+    non-finite) and cannot be told from a trained weight.
+    """
+    raw = tiny_checkpoint()
+    assert_clean_error(*generate_from(raw[:data.draw(
+        st.integers(0, len(raw) - 1))]))
+
+
+MANIFEST_FIELDS = ([("config", key) for key in sorted(tiny_config().to_dict())]
+                   + [("norm_stats", "mu_train"),
+                      ("norm_stats", "sigma_train"), ("meta", "epoch")])
+
+
+def broken(value, how):
+    if how == "retype":
+        return [value] if isinstance(value, str) else str(value)
+    if how == "negative":
+        numeric = isinstance(value, (int, float)) and not isinstance(value,
+                                                                   bool)
+        return -abs(value) - 1 if numeric else -1
+    return {"nan": float("nan"), "none": None}[how]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(MANIFEST_FIELDS),
+       st.sampled_from(["delete", "retype", "nan", "none", "negative"]))
+def test_mutated_manifest_field_never_escapes(field, how):
+    """A deleted, retyped, NaN, null or negative ``config``, ``norm_stats``
+    or ``meta`` field is either refused with a one-line error naming the
+    container or, where the value is one the program accepts (a negative
+    ``mu_train``, a loss weight or learning rate that generation does not
+    read, a deleted key whose default fits the arrays, any ``meta``
+    value), generates finite windows. It never ends in a traceback."""
+    section, key = field
+
+    def edit(manifest):
+        if how == "delete":
+            del manifest[section][key]
+        else:
+            manifest[section][key] = broken(manifest[section][key], how)
+    rc, err, out = generate_from(edit_manifest(tiny_checkpoint(), edit))
+    if rc == 0:
+        rows = out.splitlines()[1:]
+        assert len(rows) == 1
+        assert np.isfinite(np.array(rows[0].split(","), dtype=float)).all()
+    else:
+        assert_clean_error(rc, err, out)

@@ -21,7 +21,8 @@ from vampdiff.evaluation import (
     spearman,
     tpr_at_fpr,
 )
-from vampdiff.model import DiffusionSchedule
+from vampdiff.model import DiffusionSchedule, reconstruct, seeded_noise
+from vampdiff.model import sampler
 from vampdiff.numcore import Tensor
 from vampdiff.model.encoder import LatentPosterior
 
@@ -249,7 +250,7 @@ class TestStubbedModelMetrics:
         model = StubModel(lambda x_t, t, z: Tensor(z.data.copy()),
                           norm_stats=ns)
         w = synth_window(seed=7)
-        mae, corr = anomaly_scores(w, model, seed=0)
+        (mae,), (corr,) = anomaly_scores(model, [w], seed=0)
         assert mae == pytest.approx(0.0, abs=1e-9)
         assert corr == pytest.approx(0.0, abs=1e-9)
 
@@ -265,8 +266,45 @@ class TestStubbedModelMetrics:
                           norm_stats=ns)
         w = synth_window(seed=8)
         centered = sg.SignalWindow(w.samples - w.samples.mean(), w.fs)
-        _, corr = anomaly_scores(centered, model, seed=0)
+        _, (corr,) = anomaly_scores(model, [centered], seed=0)
         assert corr == pytest.approx(2.0, abs=1e-9)
+
+    def test_reconstruct_keys_row_j_by_seed_and_j(self, monkeypatch):
+        model = StubModel(lambda x_t, t, z: Tensor(0.5 * x_t.data + z.data))
+        n = sampler.BATCH + 5
+        x = np.random.default_rng(0).standard_normal((n, 1, 768))
+        batches = []
+        ddim = sampler.ddim_sample
+
+        def counting(predict, sched, z, x_T, steps):
+            batches.append(x_T.shape[0])
+            return ddim(predict, sched, z, x_T, steps)
+        monkeypatch.setattr(sampler, "ddim_sample", counting)
+        got = reconstruct(model, x, seed=4, denorm=False)
+        assert batches == [sampler.BATCH, 5]
+        for j in range(n):
+            one = ddim(model.predict_x0, model.schedule, Tensor(x[j:j + 1]),
+                       seeded_noise((1, 1, 768), 4, j),
+                       model.config.ddim_steps)
+            assert np.array_equal(got[j:j + 1], one), j
+
+    def test_identity_corruption_scores_equal_pairwise(self):
+        model = StubModel(lambda x_t, t, z: Tensor(0.5 * x_t.data + z.data),
+                          norm_stats=sg.NormStats(0.5, 2.0))
+        clean = [synth_window(hr=60.0 + 10 * i, seed=i) for i in range(5)]
+        spec = sg.CorruptionSpec("clip", clip_fraction=1.0)
+        corrupted = [("clip", sg.corrupt(w, spec, seed=i))
+                     for i, w in enumerate(clean)]
+        got_clean = anomaly_scores(model, clean, seed=3)
+        got_corrupt = anomaly_scores(model, [w for _, w in corrupted], seed=3)
+        for a, b in zip(got_clean, got_corrupt):
+            assert np.array_equal(a, b)
+        # the decoder reads the noise, so only pairing makes them equal
+        assert not np.array_equal(got_clean[0],
+                                  anomaly_scores(model, clean, seed=4)[0])
+        rep = anomaly_report(model, clean, corrupted, seed=3)
+        assert rep.auroc_mae == 0.5 and rep.auroc_corr == 0.5
+        assert rep.per_kind["clip"]["auroc"] == 0.5
 
     def test_interpolation_endpoints_with_identity_decoder(self):
         ns = sg.NormStats(0.0, 1.0)

@@ -10,6 +10,10 @@ composite of 15 nodes, and ``Tensor.backward`` frees interior nodes as it
 goes instead of keeping the whole graph. The groupnorm forward and the
 leaf gradients the new sweep gives a training step must be exactly the
 old ones; the groupnorm gradients may move in the last few bits.
+
+``_average_ranks``, ``auprc`` and ``tpr_at_fpr`` take their tie groups from
+one ``np.unique`` sort instead of scanning sorted runs in Python loops.
+Each must give exactly the old floats, ties and ``-0.0`` included.
 """
 from typing import Optional
 
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vampdiff import evaluation as ev
 from vampdiff import numcore as nc
 from vampdiff import signal as sg
 from vampdiff.config import desk_config
@@ -148,6 +153,53 @@ def ref_backward(root):
             node._backward(node)()
 
 
+def ref_average_ranks(x: np.ndarray) -> np.ndarray:
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def ref_auprc(scores: np.ndarray, labels: np.ndarray) -> float:
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], labels[order]
+    ap = 0.0
+    tp = fp = 0
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and s[j + 1] == s[i]:
+            j += 1
+        d_tp = int(y[i:j + 1].sum())
+        d_fp = (j - i + 1) - d_tp
+        tp += d_tp
+        fp += d_fp
+        ap += d_tp * tp / (tp + fp)
+        i = j + 1
+    return float(ap / n_pos)
+
+
+def ref_tpr_at_fpr(scores: np.ndarray, labels: np.ndarray,
+                   fpr: float = 0.05) -> float:
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    best = 0.0
+    for thr in np.unique(scores)[::-1]:
+        pred = scores >= thr
+        cur_fpr = (pred & (labels == 0)).sum() / n_neg
+        if cur_fpr <= fpr:
+            best = max(best, (pred & (labels == 1)).sum() / n_pos)
+    return float(best)
+
+
 # ----------------------------------------------------------------------
 # signals
 # ----------------------------------------------------------------------
@@ -189,6 +241,43 @@ def test_detect_peaks_matches_reference(case, min_distance_s,
 def test_rr_from_co2_matches_reference(case):
     co2, fs = case
     assert sg.rr_from_co2(co2, fs) == ref_rr_from_co2(co2, fs)
+
+
+# ----------------------------------------------------------------------
+# rank statistics
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def scored_labels(draw):
+    """(scores, labels): 2-60 seeded scores with both classes present,
+    often rounded so that scores tie, sometimes with -0.0 beside 0.0."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.standard_normal(n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    levels = draw(st.sampled_from([0, 1, 4, 16]))
+    if levels:
+        scores = np.round(scores * levels) / levels
+    if draw(st.booleans()):
+        scores[rng.random(n) < 0.3] = -0.0
+        scores[rng.random(n) < 0.3] = 0.0
+    labels = rng.integers(0, 2, size=n)
+    labels[rng.choice(n, size=2, replace=False)] = [0, 1]
+    return scores, labels
+
+
+def same_bytes(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_labels(), st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0]))
+def test_rank_statistics_match_reference(case, fpr):
+    scores, labels = case
+    assert same_bytes(ev._average_ranks(scores), ref_average_ranks(scores))
+    assert same_bytes(ev.auprc(scores, labels), ref_auprc(scores, labels))
+    assert same_bytes(ev.tpr_at_fpr(scores, labels, fpr),
+                      ref_tpr_at_fpr(scores, labels, fpr))
 
 
 # ----------------------------------------------------------------------
