@@ -20,6 +20,11 @@ MIN_DIFFUSION_STEPS = 21
 ZERO_ALLOWED = {"quality_min_peaks", "epochs", "freeze_epochs", "rr_epochs",
                 "seed"}
 
+# Widest layer a config may build: 16 times the full profile's widest (256).
+MAX_CHANNELS = 4096
+CHANNEL_KEYS = {"latent_channels", "time_embed_dim", "rr_stem_channels",
+                "rr_widths"}
+
 
 def _has_type(value, annotation: str) -> bool:
     """Whether ``value`` fits a :class:`RunConfig` field annotation; an int
@@ -120,9 +125,12 @@ class RunConfig:
             if any(v < low for v in ints):
                 raise ConfigError(f"config key {f.name!r} must be >= {low}, "
                                   f"got {value!r}")
-        if not math.isfinite(256 * self.width_factor):
-            raise ConfigError("config key 'width_factor' gives non-finite "
-                              "widths")
+            if f.name in CHANNEL_KEYS and any(v > MAX_CHANNELS for v in ints):
+                raise ConfigError(f"config key {f.name!r} must be <= "
+                                  f"{MAX_CHANNELS}, got {value!r}")
+        if 256 * self.width_factor > MAX_CHANNELS:
+            raise ConfigError(f"config key 'width_factor' gives widths above "
+                              f"{MAX_CHANNELS}, got {self.width_factor!r}")
         if self.time_embed_dim % 2:
             raise ConfigError("config key 'time_embed_dim' must be even")
         channels = (*self.widths, self.rr_stem_channels, *self.rr_widths)

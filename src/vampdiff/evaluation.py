@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import signal as sg
-from .model.sampler import decode_shared_noise, interpolate_latent
+from .model.sampler import BATCH, decode_shared_noise, interpolate_latent
 from .model.sampler import generate as _generate
 from .model.sampler import reconstruct as _reconstruct
 from .numcore import Tensor, no_grad
@@ -230,11 +230,8 @@ class AnomalyReport:
 def anomaly_report(model, clean: list[sg.SignalWindow],
                    corrupted: list[tuple[str, sg.SignalWindow]],
                    seed: int = 0) -> AnomalyReport:
-    """Score clean vs corrupted windows by reconstruction error.
-
-    Both sets are reconstructed under the same seed, so the i-th clean and
-    the i-th corrupted window start from the same terminal noise.
-    """
+    """Score clean vs corrupted windows by reconstruction error; each set is
+    reconstructed in one call under ``seed``."""
     kinds = ["clean"] * len(clean) + [kind for kind, _ in corrupted]
     labels = np.array([0] * len(clean) + [1] * len(corrupted))
     scores_mae, scores_corr = map(np.concatenate, zip(
@@ -348,8 +345,9 @@ def rr_consistency(windows: list[sg.SignalWindow], labels: list,
     xn = _normalized(model, windows)
     recon = _reconstruct(model, xn, seed=seed, denorm=False)
     with no_grad():
-        pred_real = rr_net(Tensor(xn)).data
-        pred_recon = rr_net(Tensor(recon)).data
+        pred_real, pred_recon = (np.concatenate([
+            rr_net(Tensor(x[s:s + BATCH])).data
+            for s in range(0, len(x), BATCH)]) for x in (xn, recon))
     recs = [{"rr_label": label, "pred_real": float(a),
              "pred_recon": float(b), "abs_delta": float(abs(a - b))}
             for label, a, b in zip(labels, pred_real, pred_recon)]

@@ -452,7 +452,7 @@ class TestCriterion7DeskEndToEnd:
                      for i, w in enumerate(clean)]
         clean_scores = ev.anomaly_scores(model, clean, seed=0)[0]
         corr_scores = ev.anomaly_scores(model, [w for _, w in corrupted],
-                                        seed=0)[0]
+                                        seed=1000)[0]
         scores = np.concatenate([clean_scores, corr_scores])
         labels = np.array([0] * len(clean_scores) + [1] * len(corr_scores))
         a = ev.auroc(scores, labels)

@@ -293,6 +293,8 @@ class TestCommands:
         ("width_factor", float("nan")), ("width_factor", 1e308),
         ("groupnorm_groups", 3), ("checkpoint_every", 0),
         ("lr_decoder", float("nan")), ("time_embed_dim", 7),
+        ("width_factor", 1e10), ("latent_channels", 10 ** 12),
+        ("rr_widths", [4, 10 ** 9]),
     ])
     def test_out_of_range_config_is_a_clean_error(self, tmp_path, capsys,
                                                   key, value):

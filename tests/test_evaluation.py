@@ -17,6 +17,7 @@ from vampdiff.evaluation import (
     pearson,
     recon_metrics,
     ReconReport,
+    rr_consistency,
     sensitivity_ratio,
     spearman,
     tpr_at_fpr,
@@ -288,6 +289,21 @@ class TestStubbedModelMetrics:
                        model.config.ddim_steps)
             assert np.array_equal(got[j:j + 1], one), j
 
+    def test_rr_regressor_sees_at_most_batch_rows(self):
+        model = StubModel(lambda x_t, t, z: Tensor(z.data.copy()),
+                          norm_stats=sg.NormStats(0.0, 1.0))
+        windows = [synth_window(hr=60.0 + i, seed=i)
+                   for i in range(sampler.BATCH + 3)]
+        rows = []
+
+        def rr_net(x):
+            rows.append(x.shape[0])
+            return Tensor(x.data.mean(axis=(1, 2)))
+        out = rr_consistency(windows, [None] * len(windows), model, rr_net)
+        assert rows == [sampler.BATCH, 3, sampler.BATCH, 3]
+        want = [w.samples.mean() for w in windows]
+        assert [r["pred_real"] for r in out["records"]] == pytest.approx(want)
+
     def test_identity_corruption_scores_equal_pairwise(self):
         model = StubModel(lambda x_t, t, z: Tensor(0.5 * x_t.data + z.data),
                           norm_stats=sg.NormStats(0.5, 2.0))
@@ -299,7 +315,8 @@ class TestStubbedModelMetrics:
         got_corrupt = anomaly_scores(model, [w for _, w in corrupted], seed=3)
         for a, b in zip(got_clean, got_corrupt):
             assert np.array_equal(a, b)
-        # the decoder reads the noise, so only pairing makes them equal
+        # the decoder reads the noise: the scores agree because row j of
+        # both sets is keyed by (seed, j)
         assert not np.array_equal(got_clean[0],
                                   anomaly_scores(model, clean, seed=4)[0])
         rep = anomaly_report(model, clean, corrupted, seed=3)
