@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import ConfigError, RunConfig
 from .signal import NormStats, ParameterError
 
@@ -47,7 +48,7 @@ def save_checkpoint(path, config: RunConfig, arrays: dict,
     }
     blob = json.dumps(manifest, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(len(blob).to_bytes(8, "little"))
         f.write(blob)

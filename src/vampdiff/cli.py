@@ -15,6 +15,7 @@ import numpy as np
 
 from . import evaluation as ev
 from . import signal as sg
+from .atomic import atomic_open
 from .checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -111,7 +112,7 @@ def ingest(path, fs: float | None = None) -> list[Recording]:
 
 def write_recording_csv(path, fs: float, ppg: np.ndarray,
                         co2: np.ndarray | None = None) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path) as f:
         f.write(f"# fs={fs:g}\n")
         if co2 is None:
             f.write("ppg\n")
@@ -243,7 +244,7 @@ def _load_rr_net(path) -> RRNet:
 def cmd_generate(args) -> int:
     model, _ = load_model(args.ckpt)
     out = model_generate(model, args.num, seed=args.seed)
-    with open(args.out, "w", newline="") as f:
+    with atomic_open(args.out) as f:
         f.write(f"# fs={model.config.fs:g} num={args.num} seed={args.seed}\n")
         for i in range(out.shape[0]):
             f.write(",".join(f"{v:.10f}" for v in out[i, 0]) + "\n")
@@ -255,7 +256,7 @@ def cmd_reconstruct(args) -> int:
     model, _ = load_model(args.ckpt)
     windows, _ = load_windows(args.data, model.config)
     report = ev.reconstruction_report(model, windows, seed=args.seed)
-    with open(args.out, "w", newline="") as f:
+    with atomic_open(args.out) as f:
         writer = csv.writer(f)
         writer.writerow(["source_id", "start_index", "mae", "rmse",
                          "pearson_r", "hr_err", "ibi_mae"])
@@ -274,7 +275,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def _write_kv_csv(path, rows) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["metric", "value"])
         for k, v in rows:
@@ -283,7 +284,7 @@ def _write_kv_csv(path, rows) -> None:
 
 def _histogram_csv(path, values, n_bins: int = 20) -> None:
     values = np.asarray([v for v in values if v is not None], dtype=float)
-    with open(path, "w", newline="") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["bin_left", "bin_right", "count"])
         if values.size:
@@ -389,7 +390,7 @@ def cmd_interpolate(args) -> int:
     sweep = ev.interpolation_sweep(first_window(args.lo),
                                    first_window(args.hi), model,
                                    alphas, seed=args.seed)
-    with open(args.out, "w", newline="") as f:
+    with atomic_open(args.out) as f:
         writer = csv.writer(f)
         writer.writerow(["alpha", "hr_bpm"])
         for alpha, hr in sweep:

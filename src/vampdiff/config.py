@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import atomic_open
+
 
 class ConfigError(Exception):
     pass
@@ -213,7 +215,8 @@ class RunConfig:
         return cls.from_json(Path(path).read_text())
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        with atomic_open(path) as f:
+            f.write(self.to_json() + "\n")
 
 
 def desk_config(**overrides) -> RunConfig:

@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import signal as sg
+from .model.base import inference
 from .model.sampler import BATCH, decode_shared_noise, interpolate_latent
 from .model.sampler import generate as _generate
 from .model.sampler import reconstruct as _reconstruct
-from .numcore import Tensor, no_grad
+from .numcore import Tensor
 
 
 class EvalError(Exception):
@@ -195,11 +196,11 @@ def sensitivity_ratio(x0: np.ndarray, model, seed: int = 0) -> float:
     and a random latent (shared terminal noise), over the posterior-mean
     decoding's range."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(1, 1, -1)
-    with no_grad():
+    with inference(model):
         post = model.encode(Tensor(x0))
     z_mu = post.mu
     z_rand = Tensor(np.random.default_rng((seed, 1)).standard_normal(
-        z_mu.shape))
+        z_mu.shape).astype(z_mu.data.dtype))
     dec_mu = decode_shared_noise(model, z_mu, seed, denorm=False)
     dec_rand = decode_shared_noise(model, z_rand, seed, denorm=False)
     rng_ = float(dec_mu.max() - dec_mu.min())
@@ -344,7 +345,7 @@ def rr_consistency(windows: list[sg.SignalWindow], labels: list,
         raise EvalError("windows and labels must align")
     xn = _normalized(model, windows)
     recon = _reconstruct(model, xn, seed=seed, denorm=False)
-    with no_grad():
+    with inference(rr_net):
         pred_real, pred_recon = (np.concatenate([
             rr_net(Tensor(x[s:s + BATCH])).data
             for s in range(0, len(x), BATCH)]) for x in (xn, recon))

@@ -1,10 +1,36 @@
-"""Parameter container shared by model components, and the one definition
-of their conv, linear and group-norm layers."""
+"""Parameter container shared by model components, the one definition of
+their conv, linear and group-norm layers, and the inference scope every
+no-grad model forward runs in."""
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
-from ..numcore import Tensor, conv1d, groupnorm, linear
+from ..numcore import Tensor, conv1d, groupnorm, linear, no_grad
+
+
+@contextmanager
+def inference(module):
+    """Run ``module`` without a graph on float32 copies of its parameters.
+
+    Inside the scope graph recording is off and each parameter's ``data``
+    is a float32 copy; the float64 arrays are put back on exit, also when
+    the body raises.  Conv and linear layers compute in their weights'
+    dtype, so a float64 input is cast once, at the first layer.  The
+    checkpoint stores float32, so a loaded model decodes from exactly the
+    weights its file holds.
+    """
+    params = module.params()
+    saved = [p.data for p in params]
+    try:
+        with no_grad():
+            for p in params:
+                p.data = p.data.astype(np.float32, copy=False)
+            yield
+    finally:
+        for p, data in zip(params, saved):
+            p.data = data
 
 
 class ParamModule:

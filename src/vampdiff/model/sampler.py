@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore import Tensor, no_grad
+from ..numcore import Tensor
+from .base import inference
 from .schedule import DiffusionSchedule
 
 
@@ -25,25 +26,26 @@ def ddim_sample(predict_x0, sched: DiffusionSchedule, z: Tensor,
     """Deterministic (eta = 0) reverse pass under clean-signal prediction.
 
     ``predict_x0(x_t, t, z)`` maps a noisy batch [B,1,L] at integer
-    timestep t to a clean-signal estimate. Returns the final x_0 array.
+    timestep t to a clean-signal estimate; call it inside
+    :func:`~vampdiff.model.base.inference`. The update runs in float64
+    whatever the predictor's dtype. Returns the final x_0 array.
     """
     ts = ddim_timesteps(sched.T, n_steps)
     x = np.asarray(x_T, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != 1:
         raise SamplerError(f"x_T must be [B,1,L], got {x.shape}")
     B = x.shape[0]
-    with no_grad():
-        for i, t in enumerate(ts):
-            t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
-            ab_t = sched.alpha_bar(int(t))
-            ab_p = sched.alpha_bar(t_prev)
-            x0_hat = predict_x0(Tensor(x), np.full(B, t), z).data
-            eps_hat = (x - np.sqrt(ab_t) * x0_hat) / np.sqrt(1.0 - ab_t)
-            if t_prev == 0:
-                x = x0_hat
-            else:
-                x = np.sqrt(ab_p) * x0_hat + np.sqrt(1.0 - ab_p) * eps_hat
-    return x
+    for i, t in enumerate(ts):
+        t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
+        ab_t = sched.alpha_bar(int(t))
+        ab_p = sched.alpha_bar(t_prev)
+        x0_hat = predict_x0(Tensor(x), np.full(B, t), z).data
+        eps_hat = (x - np.sqrt(ab_t) * x0_hat) / np.sqrt(1.0 - ab_t)
+        if t_prev == 0:
+            x = x0_hat
+        else:
+            x = np.sqrt(ab_p) * x0_hat + np.sqrt(1.0 - ab_p) * eps_hat
+    return np.asarray(x, dtype=np.float64)
 
 
 def seeded_noise(shape: tuple, seed: int, index: int = 0) -> np.ndarray:
@@ -52,8 +54,9 @@ def seeded_noise(shape: tuple, seed: int, index: int = 0) -> np.ndarray:
 
 
 def _decode(model, z: Tensor, x_T: np.ndarray, denorm: bool) -> np.ndarray:
-    """DDIM-decode ``x_T`` under latent ``z``; in original units when
-    ``denorm`` and the model carries normalization stats."""
+    """DDIM-decode ``x_T`` under latent ``z``, inside ``inference(model)``;
+    in original units when ``denorm`` and the model carries normalization
+    stats."""
     out = ddim_sample(model.predict_x0, model.schedule, z, x_T,
                       model.config.ddim_steps)
     if denorm and model.norm_stats is not None:
@@ -62,7 +65,8 @@ def _decode(model, z: Tensor, x_T: np.ndarray, denorm: bool) -> np.ndarray:
 
 
 # Rows per DDIM decode in reconstruct and generate. Peak memory grows with
-# it: about 0.85 MB a row at the desk profile and 27 MB at the full one.
+# it: the float32 decode allocates about 0.33 MB a row at its peak at the
+# desk profile and 12 MB at the full one (0.71 and 24 MB in float64).
 BATCH = 16
 
 
@@ -72,10 +76,11 @@ def _decode_rows(model, n: int, latent, seed: int, denorm: bool):
     keyed by ``(seed, j)``."""
     L = model.config.window_len
     outs = []
-    for start in range(0, n, BATCH):
-        rows = range(start, min(start + BATCH, n))
-        x_T = np.stack([seeded_noise((1, L), seed, j) for j in rows])
-        outs.append(_decode(model, latent(rows), x_T, denorm))
+    with inference(model):
+        for start in range(0, n, BATCH):
+            rows = range(start, min(start + BATCH, n))
+            x_T = np.stack([seeded_noise((1, L), seed, j) for j in rows])
+            outs.append(_decode(model, latent(rows), x_T, denorm))
     return np.concatenate(outs, axis=0)
 
 
@@ -88,8 +93,7 @@ def reconstruct(model, x: np.ndarray, seed: int = 0,
     x = np.asarray(x, dtype=np.float64)
 
     def posterior_mean(rows):
-        with no_grad():
-            return model.encode(Tensor(x[rows])).mu
+        return model.encode(Tensor(x[rows])).mu
     return _decode_rows(model, x.shape[0], posterior_mean, seed, denorm)
 
 
@@ -100,13 +104,13 @@ def generate(model, n: int, seed: int = 0, denorm: bool = True) -> np.ndarray:
         raise SamplerError("n must be >= 1")
     rng = np.random.default_rng(seed)
     ks = rng.integers(0, model.pseudo.K, size=n)
-    with no_grad():
+    with inference(model):
         post = model.encode(model.pseudo.as_batch())
 
     def component_draw(rows):
         mu, logvar = post.mu.data[ks[rows]], post.logvar.data[ks[rows]]
         eps = rng.standard_normal(mu.shape)
-        return Tensor(mu + np.exp(0.5 * logvar) * eps)
+        return Tensor((mu + np.exp(0.5 * logvar) * eps).astype(mu.dtype))
     return _decode_rows(model, n, component_draw, seed, denorm)
 
 
@@ -115,7 +119,8 @@ def decode_shared_noise(model, z: Tensor, seed: int,
     """Decode every latent row of ``z`` from the one terminal draw keyed by
     ``(seed, 0)``, so that rows differ by their latent alone."""
     x_T = seeded_noise((1, 1, model.config.window_len), seed)
-    return _decode(model, z, np.repeat(x_T, z.shape[0], axis=0), denorm)
+    with inference(model):
+        return _decode(model, z, np.repeat(x_T, z.shape[0], axis=0), denorm)
 
 
 def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
@@ -133,8 +138,9 @@ def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
         raise SamplerError("alphas must lie in [0, 1]")
     pair = np.stack([np.asarray(x_a, dtype=np.float64),
                      np.asarray(x_b, dtype=np.float64)])[:, None, :]
-    with no_grad():
+    with inference(model):
         post = model.encode(Tensor(pair))
     za, zb = post.mu.data[0], post.mu.data[1]
-    z = Tensor(np.stack([(1 - a) * za + a * zb for a in alphas]))
+    z = Tensor(np.stack([(1 - a) * za + a * zb for a in alphas]).astype(
+        za.dtype))
     return decode_shared_noise(model, z, seed, denorm)

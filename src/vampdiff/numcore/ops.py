@@ -225,7 +225,7 @@ def rstd(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x[B,N] @ weight[M,N]^T + bias[M]."""
+    """x[B,N] @ weight[M,N]^T + bias[M], in the weight's dtype."""
     if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
         raise DimensionError(
             f"linear expects 2-D input/weight and 1-D bias, got "
@@ -237,11 +237,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"bias {bias.shape}"
         )
 
+    xd = x.data.astype(weight.data.dtype, copy=False)
+
     def rule(g):
         accumulate(x, g @ weight.data)
-        accumulate(weight, g.T @ x.data)
+        accumulate(weight, g.T @ xd)
         accumulate(bias, g.sum(axis=0))
-    return make_node(x.data @ weight.data.T + bias.data, (x, weight, bias), rule)
+    return make_node(xd @ weight.data.T + bias.data, (x, weight, bias), rule)
 
 
 def conv1d(
@@ -258,7 +260,7 @@ def conv1d(
     padded input, ``xp[:, :, k*dilation :: stride]`` cut to L' columns, and
     contributes ``kernel[:, :, k] @ tap``.  The backward pass re-pads
     ``x`` and takes the same views, so the graph keeps neither an im2col
-    buffer nor a padded copy.
+    buffer nor a padded copy.  The sum runs in the kernel's dtype.
     """
     if x.ndim != 3 or kernel.ndim != 3 or bias.ndim != 1:
         raise DimensionError(
@@ -285,9 +287,11 @@ def conv1d(
     L_out = (L + 2 * padding - span) // stride + 1
     last = (L_out - 1) * stride + 1
 
+    xd = x.data.astype(kernel.data.dtype, copy=False)
+
     def taps():
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) \
-            if padding else x.data
+        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding))) \
+            if padding else xd
         return [xp[:, :, k * dilation:k * dilation + last:stride]
                 for k in range(K)]
 
@@ -339,7 +343,7 @@ def groupnorm(
     shape = (B, groups, (C // groups) * L)
     grouped = x.data.reshape(shape)
     # two [B, C, L] buffers serve the five elementwise passes
-    val = np.empty((B, C, L))
+    val = np.empty((B, C, L), dtype=x.data.dtype)
     centered = np.subtract(grouped, grouped.mean(axis=2, keepdims=True),
                            out=val.reshape(shape))
     normed = np.multiply(centered, centered)
@@ -405,7 +409,7 @@ def resample_linear(x: Tensor, t_out: int) -> Tensor:
     i0 = np.floor(pos).astype(int)
     i0 = np.minimum(i0, T - 1)
     i1 = np.minimum(i0 + 1, T - 1)
-    w = pos - i0
+    w = (pos - i0).astype(x.data.dtype)
     val = x.data[:, :, i0] * (1.0 - w) + x.data[:, :, i1] * w
 
     def rule(g):

@@ -1,9 +1,15 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 A :class:`Tensor` wraps a ``numpy.ndarray`` and records the operations
 applied to it.  Calling :meth:`Tensor.backward` on a scalar result walks
 the recorded graph in reverse topological order and accumulates gradients
 into every leaf that has ``requires_grad=True``.
+
+The dtype follows the data: a float32 array stays float32 and every other
+input becomes float64.  Each op computes in its inputs' dtype (conv1d and
+linear in their weights'), so float32 weights give a float32 forward pass
+(the no-grad decode) and float64 ones a float64 pass (training and the
+gradchecks).  A gradient is accumulated in its tensor's dtype.
 
 An operation states only its gradient rule: :func:`make_node` takes
 ``rule(g)``, which adds the input gradients for an output gradient ``g``,
@@ -51,12 +57,17 @@ class no_grad:
 
 
 class Tensor:
-    """Row-major float64 array participating in a differentiation graph."""
+    """Row-major float array participating in a differentiation graph.
+
+    ``data`` is float32 when given a float32 array and float64 otherwise
+    (ints, lists, float16 and float64 alike)."""
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = (data if data.dtype == np.float32
+                     else data.astype(np.float64, copy=False))
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward = None
@@ -152,10 +163,11 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def accumulate(t: Tensor, grad: np.ndarray) -> None:
-    """Add ``grad`` into ``t.grad``, reducing over broadcast axes."""
+    """Add ``grad`` into ``t.grad`` in ``t``'s dtype, reducing over
+    broadcast axes."""
     if not t.requires_grad:
         return
-    grad = unbroadcast(np.asarray(grad, dtype=np.float64), t.data.shape)
+    grad = unbroadcast(np.asarray(grad, dtype=t.data.dtype), t.data.shape)
     t.grad = grad if t.grad is None else t.grad + grad
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .checkpoint import save_model
 from .config import RunConfig
 from .losses import beta_at, total_loss
@@ -202,7 +203,7 @@ def fit(model: VampDiffModel, x_train: np.ndarray,
                 save_model(out_dir / f"checkpoint_ep{epoch:04d}.vdp", model,
                            meta={"epoch": epoch})
     if out_dir is not None:
-        with open(out_dir / "training_log.csv", "w", newline="") as f:
+        with atomic_open(out_dir / "training_log.csv") as f:
             writer = csv.DictWriter(f, fieldnames=LOG_FIELDS)
             writer.writeheader()
             writer.writerows(rows)

@@ -213,6 +213,9 @@ class StubModel:
         self.norm_stats = norm_stats
         self._predict = predict
 
+    def params(self):
+        return []
+
     def encode(self, x):
         return LatentPosterior(mu=Tensor(x.data.copy()),
                                logvar=Tensor(np.zeros(x.shape)))
@@ -299,6 +302,7 @@ class TestStubbedModelMetrics:
         def rr_net(x):
             rows.append(x.shape[0])
             return Tensor(x.data.mean(axis=(1, 2)))
+        rr_net.params = lambda: []
         out = rr_consistency(windows, [None] * len(windows), model, rr_net)
         assert rows == [sampler.BATCH, 3, sampler.BATCH, 3]
         want = [w.samples.mean() for w in windows]

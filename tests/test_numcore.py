@@ -434,16 +434,10 @@ def test_no_grad_blocks_graph():
     assert not y.requires_grad and y.is_leaf()
 
 
-def every_op_loss(rng):
-    """(scalar loss, leaves) whose graph goes through every numcore op and
-    the U-Net's ``rsum_slice``."""
+def every_op_terms(leaf):
+    """{op name: output} of one call of every numcore op and the U-Net's
+    ``rsum_slice``, on inputs ``leaf(*shape)`` with values in [0.5, 1.5]."""
     from vampdiff.model.unet import rsum_slice
-
-    leaves = []
-
-    def leaf(*shape):
-        leaves.append(Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=True))
-        return leaves[-1]
 
     x = leaf(2, 4, 8)
     re, im = nc.rdft(x)
@@ -476,9 +470,74 @@ def every_op_loss(rng):
                                   nc.rsum(nc.resample_linear(x, 8))),
         "rsum_slice": rsum_slice(nc.reshape(x, (2, 2, 2, 8)), 1),
     }
-    ops = {name for name in nc.__all__ if name.islower()} - {"no_grad"}
-    assert set(terms) == ops | {"rsum_slice"}
+    assert set(terms) == set(OPS) | {"rsum_slice"}
+    return terms
+
+
+OPS = sorted({name for name in nc.__all__ if name.islower()} - {"no_grad"})
+
+
+def every_op_loss(rng):
+    """(scalar loss, leaves) whose graph goes through every numcore op and
+    the U-Net's ``rsum_slice``."""
+    leaves = []
+
+    def leaf(*shape):
+        leaves.append(Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=True))
+        return leaves[-1]
+
+    terms = every_op_terms(leaf)
     return reduce(nc.add, (nc.rsum(t) for t in terms.values())), leaves
+
+
+@pytest.mark.parametrize("op", OPS + ["rsum_slice"])
+def test_every_op_keeps_its_input_dtype(op):
+    """float32 inputs give a float32 forward (the no-grad decode) and
+    float64 inputs a float64 one (training): no op upcasts the decode."""
+    rng = np.random.default_rng(0)
+
+    def leaf_of(dtype):
+        return lambda *shape: Tensor(
+            rng.uniform(0.5, 1.5, shape).astype(dtype), requires_grad=True)
+
+    with nc.no_grad():
+        out32 = every_op_terms(leaf_of(np.float32))[op]
+    out64 = every_op_terms(leaf_of(np.float64))[op]
+    assert out32.data.dtype == np.float32
+    assert out64.data.dtype == np.float64
+
+
+@pytest.mark.parametrize("data, dtype", [
+    (np.arange(3), np.float64),
+    ([1.0, 2.0], np.float64),
+    (np.ones(2, dtype=np.float16), np.float64),
+    (np.ones(2, dtype=np.float64), np.float64),
+    (np.ones(2, dtype=np.float32), np.float32),
+])
+def test_tensor_dtype_follows_the_data(data, dtype):
+    assert Tensor(data).data.dtype == dtype
+
+
+def test_conv_and_linear_compute_in_their_weights_dtype():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 3, 8)))
+    k32, b32 = (Tensor(rng.normal(size=s).astype(np.float32))
+                for s in ((4, 3, 3), (4,)))
+    out = nc.conv1d(x, k32, b32, padding=1)
+    assert out.data.dtype == np.float32
+    want = nc.conv1d(Tensor(x.data.astype(np.float32)), k32, b32, padding=1)
+    np.testing.assert_array_equal(out.data, want.data)
+    w32 = Tensor(rng.normal(size=(5, 8)).astype(np.float32))
+    assert nc.linear(nc.reshape(x, (6, 8)), w32,
+                     Tensor(np.zeros(5, np.float32))).data.dtype == np.float32
+
+
+def test_gradient_accumulates_in_its_tensors_dtype():
+    x32 = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    w64 = Tensor(np.arange(3.0), requires_grad=True)
+    nc.rsum(nc.mul(x32, w64)).backward()
+    assert x32.grad.dtype == np.float32 and w64.grad.dtype == np.float64
+    np.testing.assert_array_equal(x32.grad, [0.0, 1.0, 2.0])
 
 
 def _leaked_tensors(build) -> list:
