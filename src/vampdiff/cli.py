@@ -7,7 +7,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -361,9 +361,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _read_spec(path: Path) -> sg.CorruptionSpec:
+    """The corruption spec in the JSON object at ``path``; every error
+    names the file."""
+    try:
+        spec = json.loads(path.read_text())
+        if not isinstance(spec, dict):
+            raise sg.ParameterError("a spec must be a JSON object")
+        unknown = set(spec) - {f.name for f in fields(sg.CorruptionSpec)}
+        if unknown:
+            raise sg.ParameterError(f"unknown key {min(unknown)!r}")
+        if "kind" not in spec:
+            raise sg.ParameterError("missing key 'kind'")
+        return sg.CorruptionSpec(**spec)
+    except (UnicodeDecodeError, json.JSONDecodeError, sg.SignalError) as e:
+        raise IngestError(f"{path}: {e}") from None
+
+
 def cmd_corrupt(args) -> int:
-    spec_dict = json.loads(Path(args.spec).read_text())
-    spec = sg.CorruptionSpec(**spec_dict)
+    spec = _read_spec(Path(args.spec))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     recs = ingest(args.data, fs=args.fs)
@@ -377,6 +393,10 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")]
+    except ValueError as e:
+        raise SamplerError(f"--alphas: {e}") from None
     model, _ = load_model(args.ckpt)
     config = model.config
 
@@ -386,7 +406,6 @@ def cmd_interpolate(args) -> int:
             raise IngestError(f"{path}: shorter than one window")
         return sg.SignalWindow(rec.ppg[:config.window_len], rec.fs)
 
-    alphas = [float(a) for a in args.alphas.split(",")]
     sweep = ev.interpolation_sweep(first_window(args.lo),
                                    first_window(args.hi), model,
                                    alphas, seed=args.seed)

@@ -197,12 +197,11 @@ def sensitivity_ratio(x0: np.ndarray, model, seed: int = 0) -> float:
     decoding's range."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(1, 1, -1)
     with inference(model):
-        post = model.encode(Tensor(x0))
-    z_mu = post.mu
-    z_rand = Tensor(np.random.default_rng((seed, 1)).standard_normal(
-        z_mu.shape).astype(z_mu.data.dtype))
-    dec_mu = decode_shared_noise(model, z_mu, seed, denorm=False)
-    dec_rand = decode_shared_noise(model, z_rand, seed, denorm=False)
+        z_mu = model.encode(Tensor(x0)).mu.data
+    z_rand = np.random.default_rng((seed, 1)).standard_normal(z_mu.shape)
+    dec_mu, dec_rand = decode_shared_noise(
+        model, Tensor(np.concatenate([z_mu, z_rand.astype(z_mu.dtype)])),
+        seed, denorm=False)
     rng_ = float(dec_mu.max() - dec_mu.min())
     if rng_ == 0:
         raise UndefinedRatioError("posterior-mean decoding has zero range")

@@ -25,21 +25,20 @@ def ddim_sample(predict_x0, sched: DiffusionSchedule, z: Tensor,
                 x_T: np.ndarray, n_steps: int) -> np.ndarray:
     """Deterministic (eta = 0) reverse pass under clean-signal prediction.
 
-    ``predict_x0(x_t, t, z)`` maps a noisy batch [B,1,L] at integer
-    timestep t to a clean-signal estimate; call it inside
-    :func:`~vampdiff.model.base.inference`. The update runs in float64
-    whatever the predictor's dtype. Returns the final x_0 array.
+    ``predict_x0(x_t, t, z)`` maps a noisy batch [B,1,L] at timestep ``t``,
+    a one-entry array that every row shares, to a clean-signal estimate;
+    call it inside :func:`~vampdiff.model.base.inference`. The update runs
+    in float64 whatever the predictor's dtype. Returns the final x_0 array.
     """
     ts = ddim_timesteps(sched.T, n_steps)
     x = np.asarray(x_T, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != 1:
         raise SamplerError(f"x_T must be [B,1,L], got {x.shape}")
-    B = x.shape[0]
     for i, t in enumerate(ts):
         t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
         ab_t = sched.alpha_bar(int(t))
         ab_p = sched.alpha_bar(t_prev)
-        x0_hat = predict_x0(Tensor(x), np.full(B, t), z).data
+        x0_hat = predict_x0(Tensor(x), ts[i:i + 1], z).data
         eps_hat = (x - np.sqrt(ab_t) * x0_hat) / np.sqrt(1.0 - ab_t)
         if t_prev == 0:
             x = x0_hat
@@ -53,35 +52,29 @@ def seeded_noise(shape: tuple, seed: int, index: int = 0) -> np.ndarray:
     return np.random.default_rng((seed, index)).standard_normal(shape)
 
 
-def _decode(model, z: Tensor, x_T: np.ndarray, denorm: bool) -> np.ndarray:
-    """DDIM-decode ``x_T`` under latent ``z``, inside ``inference(model)``;
-    in original units when ``denorm`` and the model carries normalization
-    stats."""
-    out = ddim_sample(model.predict_x0, model.schedule, z, x_T,
-                      model.config.ddim_steps)
-    if denorm and model.norm_stats is not None:
-        out = model.norm_stats.denormalize(out)
-    return out
-
-
-# Rows per DDIM decode in reconstruct and generate. Peak memory grows with
-# it: the float32 decode allocates about 0.33 MB a row at its peak at the
-# desk profile and 12 MB at the full one (0.71 and 24 MB in float64).
+# Rows per DDIM decode: it bounds memory and changes no output byte. The
+# float32 decode allocates about 0.33 MB a row at its peak at the desk
+# profile and 12 MB at the full one.
 BATCH = 16
 
 
-def _decode_rows(model, n: int, latent, seed: int, denorm: bool):
-    """Decode ``n`` rows ``BATCH`` at a time: ``latent(rows)`` gives the
-    latent of a range of rows, and row j starts from the terminal noise
-    keyed by ``(seed, j)``."""
+def _decode_rows(model, latent, keys, seed: int, denorm: bool) -> np.ndarray:
+    """DDIM-decode one row per entry of ``keys``, ``BATCH`` rows at a time,
+    inside ``inference(model)``: ``latent(rows)`` gives the latent of a
+    range of rows, and row j starts from the terminal noise keyed by
+    ``(seed, keys[j])``. In original units when ``denorm`` and the model
+    carries normalization stats."""
     L = model.config.window_len
     outs = []
-    with inference(model):
-        for start in range(0, n, BATCH):
-            rows = range(start, min(start + BATCH, n))
-            x_T = np.stack([seeded_noise((1, L), seed, j) for j in rows])
-            outs.append(_decode(model, latent(rows), x_T, denorm))
-    return np.concatenate(outs, axis=0)
+    for start in range(0, len(keys), BATCH):
+        rows = range(start, min(start + BATCH, len(keys)))
+        x_T = np.stack([seeded_noise((1, L), seed, keys[j]) for j in rows])
+        outs.append(ddim_sample(model.predict_x0, model.schedule, latent(rows),
+                                x_T, model.config.ddim_steps))
+    out = np.concatenate(outs, axis=0)
+    if denorm and model.norm_stats is not None:
+        out = model.norm_stats.denormalize(out)
+    return out
 
 
 def reconstruct(model, x: np.ndarray, seed: int = 0,
@@ -94,7 +87,9 @@ def reconstruct(model, x: np.ndarray, seed: int = 0,
 
     def posterior_mean(rows):
         return model.encode(Tensor(x[rows])).mu
-    return _decode_rows(model, x.shape[0], posterior_mean, seed, denorm)
+    with inference(model):
+        return _decode_rows(model, posterior_mean, range(x.shape[0]), seed,
+                            denorm)
 
 
 def generate(model, n: int, seed: int = 0, denorm: bool = True) -> np.ndarray:
@@ -107,20 +102,20 @@ def generate(model, n: int, seed: int = 0, denorm: bool = True) -> np.ndarray:
     with inference(model):
         post = model.encode(model.pseudo.as_batch())
 
-    def component_draw(rows):
-        mu, logvar = post.mu.data[ks[rows]], post.logvar.data[ks[rows]]
-        eps = rng.standard_normal(mu.shape)
-        return Tensor((mu + np.exp(0.5 * logvar) * eps).astype(mu.dtype))
-    return _decode_rows(model, n, component_draw, seed, denorm)
+        def component_draw(rows):
+            mu, logvar = post.mu.data[ks[rows]], post.logvar.data[ks[rows]]
+            eps = rng.standard_normal(mu.shape)
+            return Tensor((mu + np.exp(0.5 * logvar) * eps).astype(mu.dtype))
+        return _decode_rows(model, component_draw, range(n), seed, denorm)
 
 
 def decode_shared_noise(model, z: Tensor, seed: int,
                         denorm: bool = True) -> np.ndarray:
     """Decode every latent row of ``z`` from the one terminal draw keyed by
     ``(seed, 0)``, so that rows differ by their latent alone."""
-    x_T = seeded_noise((1, 1, model.config.window_len), seed)
     with inference(model):
-        return _decode(model, z, np.repeat(x_T, z.shape[0], axis=0), denorm)
+        return _decode_rows(model, lambda rows: Tensor(z.data[rows]),
+                            [0] * z.shape[0], seed, denorm)
 
 
 def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
@@ -134,13 +129,13 @@ def interpolate_latent(model, x_a: np.ndarray, x_b: np.ndarray,
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise SamplerError("alphas must be a nonempty 1-D sequence")
-    if alphas.min() < 0 or alphas.max() > 1:
-        raise SamplerError("alphas must lie in [0, 1]")
+    outside = alphas[~((alphas >= 0) & (alphas <= 1))]
+    if outside.size:
+        raise SamplerError(f"alpha {outside[0]} must lie in [0, 1]")
     pair = np.stack([np.asarray(x_a, dtype=np.float64),
                      np.asarray(x_b, dtype=np.float64)])[:, None, :]
     with inference(model):
-        post = model.encode(Tensor(pair))
-    za, zb = post.mu.data[0], post.mu.data[1]
-    z = Tensor(np.stack([(1 - a) * za + a * zb for a in alphas]).astype(
-        za.dtype))
-    return decode_shared_noise(model, z, seed, denorm)
+        za, zb = model.encode(Tensor(pair)).mu.data
+        z = np.stack([(1 - a) * za + a * zb for a in alphas]).astype(za.dtype)
+        return _decode_rows(model, lambda rows: Tensor(z[rows]),
+                            [0] * alphas.size, seed, denorm)

@@ -93,6 +93,8 @@ class UNet(ParamModule):
 
     # ------------------------------------------------------------------
     def __call__(self, x_t: Tensor, t: np.ndarray, z: Tensor) -> Tensor:
+        """``t`` holds one timestep per row, or one that every row shares:
+        then the time path runs on one row and broadcasts over the batch."""
         if x_t.ndim != 3 or x_t.shape[1] != 1:
             raise DimensionError(f"expected x_t [B,1,L], got {x_t.shape}")
         if z.ndim != 3 or z.shape[1] != self.latent_channels:
@@ -102,7 +104,7 @@ class UNet(ParamModule):
         if L % 4 != 0:
             raise DimensionError(f"length {L} must be divisible by 4")
         t = np.asarray(t).reshape(-1)
-        if t.size != B:
+        if t.size not in (1, B):
             raise DimensionError(f"t has {t.size} entries for batch {B}")
 
         emb = Tensor(sinusoidal_embedding(t, self.time_dim))

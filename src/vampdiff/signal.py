@@ -6,7 +6,9 @@ explicit seed and are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -69,8 +71,15 @@ class CorruptionSpec:
     flatline_duration_frac: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in {"noise", "baseline", "clip", "flatline"}:
+        if (not isinstance(self.kind, str)
+                or self.kind not in {"noise", "baseline", "clip", "flatline"}):
             raise ParameterError(f"unknown corruption kind {self.kind!r}")
+        for f in fields(self)[1:]:  # every field after kind is numeric
+            v = getattr(self, f.name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v)):
+                raise ParameterError(
+                    f"{f.name} must be a finite number, got {v!r}")
         if not (0 < self.clip_fraction <= 1):
             raise ParameterError("clip_fraction must be in (0, 1]")
         if not (0 < self.flatline_duration_frac <= 1):

@@ -160,6 +160,89 @@ class TestCommands:
         rec = ingest(out / "r0.csv")[0]
         assert np.abs(rec.ppg - x).max() < 1e-9
 
+    def corrupt_with(self, tmp_path, spec_text):
+        data = tmp_path / "data"
+        data.mkdir(exist_ok=True)
+        x = sg.synth_ppg(fs=75.0, duration_s=4.0, hr_bpm=90.0, rr_bpm=15.0,
+                         seed=0)
+        write_recording_csv(data / "r0.csv", 75.0, x)
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text)
+        out = tmp_path / "out"
+        rc = main(["corrupt", "--data", str(data), "--spec", str(spec),
+                   "--out", str(out)])
+        return rc, spec, out
+
+    @pytest.mark.parametrize("spec_text,needle", [
+        ('{"kind": "noise", "sigma": 0.3}', "unknown key 'sigma'"),
+        ('[{"kind": "noise"}]', "must be a JSON object"),
+        ('{"noise_sigma": 0.3}', "missing key 'kind'"),
+        ('{"kind": ["noise"]}', "unknown corruption kind ['noise']"),
+        ('{"kind": "noise", "noise_sigma": "x"}',
+         "noise_sigma must be a finite number, got 'x'"),
+        ('{"kind": "noise", "noise_sigma": NaN}',
+         "noise_sigma must be a finite number, got nan"),
+        ('{"kind": "baseline", "wander_amp": -Infinity}',
+         "wander_amp must be a finite number, got -inf"),
+        ('{"kind": "clip", "clip_fraction": true}',
+         "clip_fraction must be a finite number, got True"),
+        ('{"kind": "noise", "noise_sigma": null}',
+         "noise_sigma must be a finite number, got None"),
+        ('{"kind": "noise", "noise_sigma": 0.3', "Expecting"),
+    ])
+    def test_bad_corruption_spec_is_a_clean_error(self, tmp_path, capsys,
+                                                  spec_text, needle):
+        rc, spec, out = self.corrupt_with(tmp_path, spec_text)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ERROR {spec}: ")
+        assert needle in err[0]
+        assert not out.exists()
+
+    def test_integer_spec_value_is_accepted(self, tmp_path):
+        rc, _, out = self.corrupt_with(
+            tmp_path, '{"kind": "clip", "clip_fraction": 1}')
+        assert rc == 0 and (out / "r0.csv").is_file()
+
+    def interpolate_with(self, tmp_path, alphas):
+        cfg = tiny_config(window_len=256, latent_len=64, pooled_len=16,
+                          ddim_steps=2)
+        model = VampDiffModel(cfg, rng=np.random.default_rng(0))
+        model.norm_stats = sg.NormStats(0.0, 1.0)
+        ckpt = tmp_path / "model.vdp"
+        save_model(ckpt, model, meta={"epoch": 0})
+        for name, hr in (("lo.csv", 60.0), ("hi.csv", 90.0)):
+            x = sg.synth_ppg(fs=cfg.fs, duration_s=4.0, hr_bpm=hr,
+                             rr_bpm=15.0, seed=0)
+            write_recording_csv(tmp_path / name, cfg.fs, x)
+        out = tmp_path / "interp.csv"
+        rc = main(["interpolate", "--ckpt", str(ckpt),
+                   "--lo", str(tmp_path / "lo.csv"),
+                   "--hi", str(tmp_path / "hi.csv"),
+                   f"--alphas={alphas}", "--out", str(out)])
+        return rc, out
+
+    def test_interpolate_writes_one_row_per_alpha(self, tmp_path):
+        rc, out = self.interpolate_with(tmp_path, "1,0,0.5")
+        assert rc == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "alpha,hr_bpm"
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.0", "0.5", "1.0"]
+
+    @pytest.mark.parametrize("alphas,needle", [
+        ("abc", "'abc'"), ("0,,1", "''"), ("0,nan,1", "alpha nan "),
+        ("0,inf", "alpha inf "), ("0,1.5", "alpha 1.5 "),
+        ("-0.25,1", "alpha -0.25 "),
+    ])
+    def test_bad_alphas_are_a_clean_error(self, tmp_path, capsys, alphas,
+                                          needle):
+        rc, out = self.interpolate_with(tmp_path, alphas)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ")
+        assert needle in err[0]
+        assert not out.exists()
+
     def test_bad_inputs_exit_nonzero(self, tmp_path, capsys):
         rc = main(["generate", "--ckpt", str(tmp_path / "missing.vdp"),
                    "--num", "1", "--out", str(tmp_path / "o.csv")])

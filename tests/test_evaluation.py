@@ -233,8 +233,8 @@ class TestStubbedModelMetrics:
     def test_sensitivity_constant_offset_formula(self):
         base = np.linspace(-1.0, 3.0, 768)[None, None, :]
 
-        def predict(x_t, t, z):
-            return Tensor(base + z.data.mean())
+        def predict(x_t, t, z):  # each row offset by its own latent's mean
+            return Tensor(base + z.data.mean(axis=(1, 2), keepdims=True))
 
         model = StubModel(predict)
         x0 = synth_window().samples
