@@ -77,10 +77,20 @@ class VampDiffModel(ParamModule):
     def encode(self, x: Tensor) -> LatentPosterior:
         return self.encoder(x)
 
-    def predict_x0(self, x_t: Tensor, t: np.ndarray, z: Tensor) -> Tensor:
+    def condition(self, z: Tensor):
+        """The denoiser's FiLM conditioning on the latent z, pooled first
+        when the config asks for it."""
         if self.config.condition_on_pooled:
             z = pool(z, self.config.pooled_len)
-        return self.unet(x_t, t, z)
+        return self.unet.condition(z, self.config.window_len)
+
+    def predict_x0(self, x_t: Tensor, t: np.ndarray, cond) -> Tensor:
+        """Clean-signal estimate from x_t at timestep t under ``cond``, what
+        :meth:`condition` returns; a decode builds it once per chunk of rows
+        and reuses it at every DDIM step."""
+        if isinstance(cond, Tensor):  # a bare latent would skip the pooling
+            raise TypeError("predict_x0 takes model.condition(z), not z")
+        return self.unet(x_t, t, cond)
 
     def param_groups(self) -> dict[str, list[Tensor]]:
         """Optimizer groups: denoiser, encoder, pseudo-inputs."""

@@ -21,14 +21,16 @@ def ddim_timesteps(T: int, n_steps: int) -> np.ndarray:
     return ts
 
 
-def ddim_sample(predict_x0, sched: DiffusionSchedule, z: Tensor,
-                x_T: np.ndarray, n_steps: int) -> np.ndarray:
+def ddim_sample(predict_x0, sched: DiffusionSchedule, cond, x_T: np.ndarray,
+                n_steps: int) -> np.ndarray:
     """Deterministic (eta = 0) reverse pass under clean-signal prediction.
 
-    ``predict_x0(x_t, t, z)`` maps a noisy batch [B,1,L] at timestep ``t``,
-    a one-entry array that every row shares, to a clean-signal estimate;
-    call it inside :func:`~vampdiff.model.base.inference`. The update runs
-    in float64 whatever the predictor's dtype. Returns the final x_0 array.
+    ``predict_x0(x_t, t, cond)`` maps a noisy batch [B,1,L] at timestep
+    ``t``, a one-entry array that every row shares, to a clean-signal
+    estimate; call it inside :func:`~vampdiff.model.base.inference`.
+    ``cond`` is the rows' conditioning, built once by the caller and passed
+    unchanged to every step. The update runs in float64 whatever the
+    predictor's dtype. Returns the final x_0 array.
     """
     ts = ddim_timesteps(sched.T, n_steps)
     x = np.asarray(x_T, dtype=np.float64)
@@ -38,7 +40,7 @@ def ddim_sample(predict_x0, sched: DiffusionSchedule, z: Tensor,
         t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
         ab_t = sched.alpha_bar(int(t))
         ab_p = sched.alpha_bar(t_prev)
-        x0_hat = predict_x0(Tensor(x), ts[i:i + 1], z).data
+        x0_hat = predict_x0(Tensor(x), ts[i:i + 1], cond).data
         eps_hat = (x - np.sqrt(ab_t) * x0_hat) / np.sqrt(1.0 - ab_t)
         if t_prev == 0:
             x = x0_hat
@@ -62,15 +64,17 @@ def _decode_rows(model, latent, keys, seed: int, denorm: bool) -> np.ndarray:
     """DDIM-decode one row per entry of ``keys``, ``BATCH`` rows at a time,
     inside ``inference(model)``: ``latent(rows)`` gives the latent of a
     range of rows, and row j starts from the terminal noise keyed by
-    ``(seed, keys[j])``. In original units when ``denorm`` and the model
-    carries normalization stats."""
+    ``(seed, keys[j])``. Each chunk's conditioning is built once, used by
+    all its DDIM steps and released before the next chunk's. In original
+    units when ``denorm`` and the model carries normalization stats."""
     L = model.config.window_len
     outs = []
     for start in range(0, len(keys), BATCH):
         rows = range(start, min(start + BATCH, len(keys)))
         x_T = np.stack([seeded_noise((1, L), seed, keys[j]) for j in rows])
-        outs.append(ddim_sample(model.predict_x0, model.schedule, latent(rows),
-                                x_T, model.config.ddim_steps))
+        outs.append(ddim_sample(model.predict_x0, model.schedule,
+                                model.condition(latent(rows)), x_T,
+                                model.config.ddim_steps))
     out = np.concatenate(outs, axis=0)
     if denorm and model.norm_stats is not None:
         out = model.norm_stats.denormalize(out)

@@ -3,7 +3,9 @@
 Three resolution levels (stride-2 down, linear-resample up, additive
 skips), two residual blocks per level, sinusoidal time embedding added to
 each block, and per-level FiLM conditioning computed from the temporal
-latent resampled to each level's resolution.
+latent resampled to each level's resolution. The conditioning depends on
+z alone: :meth:`UNet.condition` builds it once, and every denoising step
+of a reverse pass reuses it.
 """
 from __future__ import annotations
 
@@ -92,26 +94,39 @@ class UNet(ParamModule):
         return add(h, y)
 
     # ------------------------------------------------------------------
-    def __call__(self, x_t: Tensor, t: np.ndarray, z: Tensor) -> Tensor:
-        """``t`` holds one timestep per row, or one that every row shares:
-        then the time path runs on one row and broadcasts over the batch."""
-        if x_t.ndim != 3 or x_t.shape[1] != 1:
-            raise DimensionError(f"expected x_t [B,1,L], got {x_t.shape}")
+    def condition(self, z: Tensor, length: int):
+        """FiLM conditioning on the latent z [B, latent, T] for windows of
+        ``length`` samples: one (gamma, beta) pair per level."""
         if z.ndim != 3 or z.shape[1] != self.latent_channels:
             raise DimensionError(
                 f"expected z [B,{self.latent_channels},T], got {z.shape}")
+        return tuple(self._film_params(lvl, z, length >> lvl)
+                     for lvl in range(3))
+
+    def __call__(self, x_t: Tensor, t: np.ndarray, film) -> Tensor:
+        """``film`` is what :meth:`condition` returns for these rows; a bare
+        latent Tensor is conditioned here first, for one-off forwards such
+        as the U-Net timing in ``bench/baselines.py``. ``t`` holds one
+        timestep per row, or one that every row shares: then the time path
+        runs on one row and broadcasts over the batch."""
+        if x_t.ndim != 3 or x_t.shape[1] != 1:
+            raise DimensionError(f"expected x_t [B,1,L], got {x_t.shape}")
         B, _, L = x_t.shape
         if L % 4 != 0:
             raise DimensionError(f"length {L} must be divisible by 4")
         t = np.asarray(t).reshape(-1)
         if t.size not in (1, B):
             raise DimensionError(f"t has {t.size} entries for batch {B}")
+        if isinstance(film, Tensor):
+            film = self.condition(film, L)
+        shapes = [tuple(p.shape for p in pair) for pair in film]
+        want = [((B, c, L >> lvl),) * 2 for lvl, c in enumerate(self.channels)]
+        if shapes != want:
+            raise DimensionError(f"FiLM pairs {shapes} do not fit x_t "
+                                 f"{x_t.shape}: expected {want}")
 
         emb = Tensor(sinusoidal_embedding(t, self.time_dim))
         temb = self.linear("temb.fc2", silu(self.linear("temb.fc1", emb)))
-
-        lengths = (L, L // 2, L // 4)
-        film = [self._film_params(lvl, z, lengths[lvl]) for lvl in range(3)]
 
         h = self.conv("in_conv", x_t)
         h = self._res_block("res0d0", h, temb, *film[0])
@@ -124,11 +139,11 @@ class UNet(ParamModule):
         h = self.conv("down1", h, stride=2)
         h = self._res_block("res2d0", h, temb, *film[2])
         h = self._res_block("res2d1", h, temb, *film[2])
-        h = self.conv("up1", resample_linear(h, lengths[1]))
+        h = self.conv("up1", resample_linear(h, L // 2))
         h = add(h, skip1)
         h = self._res_block("res1u0", h, temb, *film[1])
         h = self._res_block("res1u1", h, temb, *film[1])
-        h = self.conv("up0", resample_linear(h, lengths[0]))
+        h = self.conv("up0", resample_linear(h, L))
         h = add(h, skip0)
         h = self._res_block("res0u0", h, temb, *film[0])
         h = self._res_block("res0u1", h, temb, *film[0])
@@ -136,7 +151,8 @@ class UNet(ParamModule):
 
 
 def rsum_slice(x: Tensor, index: int) -> Tensor:
-    """Select x[:, index] from a [B, 2, C, L] tensor via a gather op."""
+    """View x[:, index] of a [B, 2, C, L] tensor; the gradient is scattered
+    back into that slice."""
     def rule(g):
         gx = np.zeros_like(x.data)
         gx[:, index] = g

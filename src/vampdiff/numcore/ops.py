@@ -290,8 +290,10 @@ def conv1d(
     xd = x.data.astype(kernel.data.dtype, copy=False)
 
     def taps():
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding))) \
-            if padding else xd
+        xp = xd
+        if padding:
+            xp = np.zeros((B, cin, L + 2 * padding), xd.dtype)
+            xp[:, :, padding:padding + L] = xd
         return [xp[:, :, k * dilation:k * dilation + last:stride]
                 for k in range(K)]
 

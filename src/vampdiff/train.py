@@ -130,7 +130,7 @@ def train_step(model: VampDiffModel, opt: AdamW, x0: np.ndarray,
     eps = rng.standard_normal(x0.shape)
     x_t = forward_diffuse(Tensor(x0), t, Tensor(eps), sched)
 
-    x0_hat = model.predict_x0(x_t, t, z)
+    x0_hat = model.predict_x0(x_t, t, model.condition(z))
 
     # KL enters whenever its coefficient is nonzero; during the freeze the
     # posterior is already detached and encoder gradients are nulled below

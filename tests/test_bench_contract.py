@@ -111,10 +111,11 @@ def test_install_patches_and_uninstall_restores(tmp_path):
         assert report["calls"].get(span, 0) > 0, span
     assert report["bwd_self_s"].get("conv1d", 0.0) > 0.0
     # every layer op reaches the tracer: one encoder pass over the
-    # pseudo-inputs (5 convs, 3 norms), then per DDIM step one U-Net pass
-    # (29 convs with FiLM, 21 norms, 2 time-MLP + 10 tproj linears)
+    # pseudo-inputs (5 convs, 3 norms), the 3 FiLM convs once for the one
+    # decode chunk, then per DDIM step one U-Net pass (26 convs, 21 norms,
+    # 2 time-MLP + 10 tproj linears)
     n_t = len(ddim_timesteps(cfg.diffusion_steps, cfg.ddim_steps))
-    assert generate_calls["conv1d"] == 29 * n_t + 5
+    assert generate_calls["conv1d"] == 26 * n_t + 3 + 5
     assert generate_calls["groupnorm"] == 21 * n_t + 3
     assert generate_calls["linear"] == 12 * n_t
 

@@ -204,8 +204,9 @@ class TestReconMetrics:
 # ----------------------------------------------------------------------
 
 class StubModel:
-    """Decoder stub: encode packs the input as a [B,1,L] 'latent'; the
-    clean-signal prediction is a configurable function of (x_t, z)."""
+    """Decoder stub: encode packs the input as a [B,1,L] 'latent', which is
+    also its own conditioning; the clean-signal prediction is a
+    configurable function of (x_t, z)."""
 
     def __init__(self, predict, L=768, fs=75.0, norm_stats=None):
         self.config = desk_config()
@@ -219,6 +220,9 @@ class StubModel:
     def encode(self, x):
         return LatentPosterior(mu=Tensor(x.data.copy()),
                                logvar=Tensor(np.zeros(x.shape)))
+
+    def condition(self, z):
+        return z
 
     def predict_x0(self, x_t, t, z):
         return self._predict(x_t, t, z)

@@ -99,9 +99,10 @@ def test_unet_runs_float32_inside_a_real_decode(monkeypatch):
     seen = []
     forward = UNet.__call__
 
-    def spy(self, x_t, t, z):
-        out = forward(self, x_t, t, z)
-        seen.append((z.data.dtype, out.data.dtype))
+    def spy(self, x_t, t, film):
+        out = forward(self, x_t, t, film)
+        film_dtypes = {p.data.dtype for pair in film for p in pair}
+        seen.append((*film_dtypes, out.data.dtype))
         return out
     monkeypatch.setattr(UNet, "__call__", spy)
     generate(model, 2, seed=0)

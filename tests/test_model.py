@@ -452,7 +452,7 @@ class TestVampDiffModel:
         post = model.encode(x)
         assert post.mu.shape == (1, cfg.latent_channels, cfg.latent_len)
         z = reparameterize(post, Tensor(np.zeros(post.mu.shape)))
-        out = model.predict_x0(x, np.array([10]), z)
+        out = model.predict_x0(x, np.array([10]), model.condition(z))
         assert out.shape == (1, 1, cfg.window_len)
         groups = model.param_groups()
         ids = [id(p) for ps in groups.values() for p in ps]
@@ -466,7 +466,7 @@ class TestVampDiffModel:
             size=(1, 1, cfg.window_len)))
         post = model.encode(x)
         z = reparameterize(post, Tensor(np.zeros(post.mu.shape)))
-        out = model.predict_x0(x, np.array([10]), z)
+        out = model.predict_x0(x, np.array([10]), model.condition(z))
         rsum(square(out)).backward()
         enc_grads = [p.grad for p in model.encoder.params()]
         assert any(g is not None and np.abs(g).max() > 0 for g in enc_grads)

@@ -166,7 +166,7 @@ class TestTrainStep:
         with no_grad():
             post = model.encode(Tensor(x0))
             z = reparameterize(post, Tensor(noise))
-            x0_hat = model.predict_x0(Tensor(x_t), t, z)
+            x0_hat = model.predict_x0(Tensor(x_t), t, model.condition(z))
             standalone = diffusion_loss(x0_hat, Tensor(x0), t, sched).data
         br = train_step(model, opt, x0, epoch=3,
                         rng=np.random.default_rng(7))
