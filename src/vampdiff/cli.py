@@ -486,8 +486,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _bad_argument(args) -> str | None:
+    """Why a parsed numeric flag is out of range, or None if none is."""
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    for flag in ("duration", "fs"):
+        v = getattr(args, flag, None)
+        if v is not None and not (math.isfinite(v) and v > 0):
+            return f"--{flag} must be a finite number > 0, got {v}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    bad = _bad_argument(args)
+    if bad:
+        print(f"ERROR {bad}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (IngestError, ConfigError, sg.SignalError, ev.EvalError,

@@ -9,6 +9,8 @@ Conventions fixed here:
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .tensor import (
@@ -260,7 +262,10 @@ def conv1d(
     padded input, ``xp[:, :, k*dilation :: stride]`` cut to L' columns, and
     contributes ``kernel[:, :, k] @ tap``.  The backward pass re-pads
     ``x`` and takes the same views, so the graph keeps neither an im2col
-    buffer nor a padded copy.  The sum runs in the kernel's dtype.
+    buffer nor a padded copy.  Tap k's kernel gradient is the batched GEMM
+    ``(g @ tap.transpose(0, 2, 1)).sum(0)``, which reads the strided view
+    in place; the input gradient adds ``kernel[:, :, k].T @ g`` into the
+    tap's columns.  The sum runs in the kernel's dtype.
     """
     if x.ndim != 3 or kernel.ndim != 3 or bias.ndim != 1:
         raise DimensionError(
@@ -304,13 +309,11 @@ def conv1d(
     val += bias.data[None, :, None]
 
     def rule(g):
-        # g: [B, Cout, L_out]
-        # per tap: sum over (B, L_out) of g x tap, as one GEMM
-        g2 = g.transpose(1, 0, 2).reshape(cout, B * L_out)
+        # g: [B, Cout, L_out]; per tap, one GEMM per batch row, then a
+        # sum over the batch
         gk = np.empty((cout, cin, K))
         for k, tap in enumerate(taps()):
-            gk[:, :, k] = g2 @ tap.transpose(0, 2, 1).reshape(
-                B * L_out, cin)
+            gk[:, :, k] = (g @ tap.transpose(0, 2, 1)).sum(axis=0)
         accumulate(kernel, gk)
         accumulate(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
@@ -393,30 +396,51 @@ def rdft(x: Tensor) -> tuple[Tensor, Tensor]:
     return re, im
 
 
+@lru_cache(maxsize=64)
+def _resample_plan(T: int, t_out: int, dtype: np.dtype):
+    """Read-only (i0, i1, 1 - w, w) for resampling T samples to t_out:
+    output j mixes samples i0[j] and i1[j] with weights 1 - w[j] and w[j]
+    (in ``dtype``)."""
+    if t_out == 1:
+        pos = np.zeros(1)
+    else:
+        pos = np.arange(t_out) * ((T - 1) / (t_out - 1))
+    i0 = np.minimum(np.floor(pos).astype(np.intp), T - 1)
+    i1 = np.minimum(i0 + 1, T - 1)
+    w = (pos - i0).astype(dtype)
+    plan = (i0, i1, 1.0 - w, w)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
 def resample_linear(x: Tensor, t_out: int) -> Tensor:
-    """Endpoint-aligned linear resampling of x[B,C,T] to [B,C,t_out]."""
+    """Endpoint-aligned linear resampling of x[B,C,T] to [B,C,t_out].
+
+    Output j is ``x[..., i0[j]] * (1 - w[j]) + x[..., i1[j]] * w[j]`` at
+    position ``j * (T - 1) / (t_out - 1)``; the positions and weights are
+    computed once per (T, t_out, dtype) and the gathers are ``np.take``.
+    The backward scatters the ``g * (1 - w)`` terms and then the
+    ``g * w`` terms with one ``np.bincount``, which adds into each bin in
+    ``np.add.at``'s order, so a float64 gradient is the same bytes (the
+    sum runs in float64).  ``t_out == T`` is a copy.
+    """
     if x.ndim != 3:
         raise DimensionError(f"resample_linear expects [B,C,T], got {x.shape}")
     t_out = int(t_out)
     if t_out < 1:
         raise DimensionError("t_out must be >= 1")
-    T = x.shape[2]
+    B, C, T = x.shape
     if t_out == T:
         return make_node(x.data.copy(), (x,), lambda g: accumulate(x, g))
 
-    if t_out == 1:
-        pos = np.zeros(1)
-    else:
-        pos = np.arange(t_out) * ((T - 1) / (t_out - 1))
-    i0 = np.floor(pos).astype(int)
-    i0 = np.minimum(i0, T - 1)
-    i1 = np.minimum(i0 + 1, T - 1)
-    w = (pos - i0).astype(x.data.dtype)
-    val = x.data[:, :, i0] * (1.0 - w) + x.data[:, :, i1] * w
+    i0, i1, w0, w1 = _resample_plan(T, t_out, x.data.dtype)
+    val = (np.take(x.data, i0, axis=2) * w0
+           + np.take(x.data, i1, axis=2) * w1)
 
     def rule(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), slice(None), i0), g * (1.0 - w))
-        np.add.at(gx, (slice(None), slice(None), i1), g * w)
-        accumulate(x, gx)
+        bins = (np.arange(B * C) * T)[:, None] + np.concatenate([i0, i1])
+        terms = np.concatenate([g * w0, g * w1], axis=2)
+        gx = np.bincount(bins.ravel(), terms.ravel(), minlength=B * C * T)
+        accumulate(x, gx.reshape(B, C, T))
     return make_node(val, (x,), rule)

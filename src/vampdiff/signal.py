@@ -125,23 +125,53 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return interior.astype(np.int64)
 
 
+# cells of the [rows, 2 * half + 1] window matrix _prominences builds per block
+_PROMINENCE_CELLS = 1 << 16
+
+
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Topographic prominence with window-boundary saddles."""
+    """Topographic prominence with window-boundary saddles.
+
+    For peak p of height h, the walk left of p stops at the nearest
+    sample that is not <= h (or at the boundary), and ``left_min`` is the
+    minimum from there up to p; likewise right.  The prominence is
+    ``h - max(left_min, right_min)``.  Each peak sees the window of
+    ``half`` samples on either side of it, NaN-padded past the ends so the
+    boundary stops a walk like a higher sample.  Peaks whose walks both
+    stop inside the window are done; the rest try again with ``half``
+    eight times as large.  Blocks of peaks keep each window matrix within
+    ``max(_PROMINENCE_CELLS, 2 * x.size + 1)`` cells.  Only comparisons
+    and minima are taken, so the result is exactly the walk's.
+    """
     proms = np.empty(peaks.size)
-    for j, p in enumerate(peaks):
-        h = x[p]
-        # walk left until a strictly higher sample or the boundary
-        left_min = h
-        i = p - 1
-        while i >= 0 and x[i] <= h:
-            left_min = min(left_min, x[i])
-            i -= 1
-        right_min = h
-        i = p + 1
-        while i < x.size and x[i] <= h:
-            right_min = min(right_min, x[i])
-            i += 1
-        proms[j] = h - max(left_min, right_min)
+    todo = np.arange(peaks.size)
+    half = 64
+    while todo.size:
+        half = min(half, x.size)
+        padded = np.full(x.size + 2 * half, np.nan)
+        padded[half:half + x.size] = x
+        windows = np.lib.stride_tricks.sliding_window_view(padded,
+                                                           2 * half + 1)
+        cols = np.arange(2 * half + 1)
+        rows = max(1, _PROMINENCE_CELLS // cols.size)
+        again = []
+        for block in np.split(todo, range(rows, todo.size, rows)):
+            win = windows[peaks[block]]
+            h = win[:, half:half + 1]
+            stop = ~(win <= h)
+            left, right = stop[:, half - 1::-1], stop[:, half + 1:]
+            lo = half - np.argmax(left, axis=1)[:, None]
+            hi = half + np.argmax(right, axis=1)[:, None]
+            left_min = np.where((cols >= lo) & (cols <= half), win,
+                                np.inf).min(axis=1)
+            right_min = np.where((cols >= half) & (cols <= hi), win,
+                                 np.inf).min(axis=1)
+            done = left.any(axis=1) & right.any(axis=1)
+            proms[block[done]] = (h[:, 0] - np.maximum(left_min,
+                                                        right_min))[done]
+            again.append(block[~done])
+        todo = np.concatenate(again)
+        half *= 8
     return proms
 
 

@@ -427,6 +427,61 @@ class TestCommands:
         again = RunConfig.load(p)
         assert again.to_json() == cfg.to_json()
 
+    def command_args(self, tmp_path, command):
+        """Valid arguments for ``command`` over a tiny checkpoint and a
+        one-recording directory, and the output path it would write."""
+        ckpt = self.make_ckpt(tmp_path)
+        data = tmp_path / "data"
+        data.mkdir()
+        x = sg.synth_ppg(fs=75.0, duration_s=4.0, hr_bpm=90.0, rr_bpm=15.0,
+                         seed=0)
+        write_recording_csv(data / "r0.csv", 75.0, x)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "noise", "noise_sigma": 0.3}')
+        out = tmp_path / "out"
+        rec = str(data / "r0.csv")
+        return {
+            "synth": ["--out", str(out), "--patients", "3"],
+            "generate": ["--ckpt", str(ckpt), "--num", "1",
+                         "--out", str(out)],
+            "reconstruct": ["--ckpt", str(ckpt), "--data", str(data),
+                            "--out", str(out)],
+            "evaluate": ["--ckpt", str(ckpt), "--data", str(data),
+                         "--gen-n", "1", "--report", str(out)],
+            "corrupt": ["--data", str(data), "--spec", str(spec),
+                        "--out", str(out)],
+            "interpolate": ["--ckpt", str(ckpt), "--lo", rec, "--hi", rec,
+                            "--out", str(out)],
+        }[command], out
+
+    @pytest.mark.parametrize("command", ["synth", "generate", "reconstruct",
+                                         "evaluate", "corrupt",
+                                         "interpolate"])
+    def test_negative_seed_is_a_clean_error(self, tmp_path, capsys, command):
+        args, out = self.command_args(tmp_path, command)
+        assert main([command, *args, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ERROR --seed must be >= 0, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *[("synth", "--duration", v) for v in ("-1", "inf", "nan", "0")],
+        *[("corrupt", "--fs", v) for v in ("nan", "-5", "0", "inf")],
+    ])
+    def test_bad_duration_and_fs_are_a_clean_error(self, tmp_path, capsys,
+                                                   command, flag, value):
+        args, out = self.command_args(tmp_path, command)
+        assert main([command, *args, flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ERROR {flag} must be a finite number > 0, "
+                       f"got {float(value)}"]
+        assert not out.exists()
+
+    def test_zero_seed_and_a_positive_fs_are_accepted(self, tmp_path):
+        args, out = self.command_args(tmp_path, "corrupt")
+        assert main(["corrupt", *args, "--seed", "0", "--fs", "50"]) == 0
+        assert (out / "r0.csv").is_file()
+
 
 # ----------------------------------------------------------------------
 # checkpoint fuzzing

@@ -14,7 +14,15 @@ old ones; the groupnorm gradients may move in the last few bits.
 ``_average_ranks``, ``auprc`` and ``tpr_at_fpr`` take their tie groups from
 one ``np.unique`` sort instead of scanning sorted runs in Python loops.
 Each must give exactly the old floats, ties and ``-0.0`` included.
+
+``_prominences`` takes masked minima over a window around each peak
+instead of walking sample by sample, ``resample_linear`` gathers with
+``np.take`` and scatters its gradient with one ``np.bincount`` instead of
+``np.add.at``, and conv1d's kernel gradient is one batched GEMM per tap
+instead of a GEMM over a transposed copy. The first two must give exactly
+the old bytes; the kernel gradient may move within a rounding bound.
 """
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -123,6 +131,42 @@ def ref_rr_from_co2(co2, fs) -> Optional[float]:
     if not (6.0 <= rr <= 35.0):
         return None
     return float(rr)
+
+
+def ref_resample_linear(x, t_out, g):
+    """(forward, input gradient for the output gradient g)."""
+    T = x.shape[2]
+    if t_out == T:
+        return x.copy(), g
+    if t_out == 1:
+        pos = np.zeros(1)
+    else:
+        pos = np.arange(t_out) * ((T - 1) / (t_out - 1))
+    i0 = np.floor(pos).astype(int)
+    i0 = np.minimum(i0, T - 1)
+    i1 = np.minimum(i0 + 1, T - 1)
+    w = (pos - i0).astype(x.dtype)
+    val = x[:, :, i0] * (1.0 - w) + x[:, :, i1] * w
+    gx = np.zeros_like(x)
+    np.add.at(gx, (slice(None), slice(None), i0), g * (1.0 - w))
+    np.add.at(gx, (slice(None), slice(None), i1), g * w)
+    return val, gx
+
+
+def ref_conv1d_kernel_grad(x, K, g, stride, dilation, padding):
+    """conv1d's kernel gradient, one GEMM per tap over a
+    ``[B * L_out, Cin]`` transposed copy of the tap."""
+    B, cin, L = x.shape
+    _, cout, L_out = g.shape
+    last = (L_out - 1) * stride + 1
+    xp = np.zeros((B, cin, L + 2 * padding))
+    xp[:, :, padding:padding + L] = x
+    g2 = g.transpose(1, 0, 2).reshape(cout, B * L_out)
+    gk = np.empty((cout, cin, K))
+    for k in range(K):
+        tap = xp[:, :, k * dilation:k * dilation + last:stride]
+        gk[:, :, k] = g2 @ tap.transpose(0, 2, 1).reshape(B * L_out, cin)
+    return gk
 
 
 def ref_groupnorm(x, groups, gamma, beta, eps=1e-5):
@@ -241,6 +285,26 @@ def test_detect_peaks_matches_reference(case, min_distance_s,
 def test_rr_from_co2_matches_reference(case):
     co2, fs = case
     assert sg.rr_from_co2(co2, fs) == ref_rr_from_co2(co2, fs)
+
+
+def test_prominences_of_a_long_noisy_signal():
+    """Exactly the walk's floats on 100k samples with ~30k candidates and
+    tied heights, in bounded memory: one [candidates, samples] bool mask
+    would take about 3 GB."""
+    rng = np.random.default_rng(0)
+    t = np.arange(100_000) / 75.0
+    x = np.sin(2 * np.pi * 1.2 * t) + 0.5 * rng.standard_normal(t.size)
+    x = np.round(x * 8) / 8
+    cands = ref_local_maxima(x)
+    assert cands.size > 10_000
+    tracemalloc.start()
+    try:
+        got = sg._prominences(x, cands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == ref_prominences(x, cands).tobytes()
+    assert peak < 32e6
 
 
 # ----------------------------------------------------------------------
@@ -378,3 +442,79 @@ def test_release_sweep_matches_keep_everything_sweep(monkeypatch):
         train_step(model, opt, x0, epoch, np.random.default_rng(epoch))
     # the unfrozen step's graph also holds the encoder and the KL
     assert len(swept) == 2 and 100 < swept[0] < swept[1]
+
+
+# ----------------------------------------------------------------------
+# resample_linear and the conv1d backward
+# ----------------------------------------------------------------------
+
+
+def grads_for(op, arrays, g):
+    """Output of ``op`` on leaves holding ``arrays`` and the leaves'
+    gradients for the output gradient ``g``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    nc.rsum(mul(out, Tensor(g))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("T, t_out", [
+    (5, 11), (192, 384), (384, 768), (192, 768),  # up-sampling
+    (11, 5), (768, 192), (50, 49),                # down-sampling
+    (7, 1), (1, 6), (1, 1), (9, 9),               # t_out=1, T=1, the copy
+])
+def test_resample_linear_matches_reference(T, t_out):
+    rng = np.random.default_rng(T * 1000 + t_out)
+    x = rng.standard_normal((3, 4, T))
+    g = rng.standard_normal((3, 4, t_out))
+    got, (gx,) = grads_for(lambda a: nc.resample_linear(a, t_out), [x], g)
+    want, want_gx = ref_resample_linear(x, t_out, g)
+    assert got.tobytes() == want.tobytes()
+    assert gx.tobytes() == want_gx.tobytes()
+    x32 = x.astype(np.float32)
+    with nc.no_grad():
+        got32 = nc.resample_linear(Tensor(x32), t_out).data
+    assert got32.tobytes() == ref_resample_linear(x32, t_out, g)[0].tobytes()
+
+
+@pytest.mark.parametrize("B, cin, cout, L, K, stride, dilation, padding", [
+    (4, 1, 8, 96, 5, 2, 1, 2),    # encoder stem: Cin=1, stride 2
+    (4, 1, 1, 96, 2, 1, 1, 0),    # loss derivative: Cin=Cout=1, padding 0
+    (4, 8, 1, 96, 3, 1, 1, 1),    # U-Net out_conv: Cout=1
+    (4, 8, 16, 96, 3, 2, 1, 1),   # U-Net down: stride 2
+    (4, 16, 16, 48, 3, 1, 1, 1),  # residual block
+    (3, 8, 8, 40, 3, 1, 2, 2),    # RRNet stages: dilation 2, 4, 8
+    (3, 8, 16, 40, 3, 1, 4, 4),
+    (3, 16, 16, 40, 3, 1, 8, 8),
+    (2, 5, 3, 33, 4, 3, 2, 0),    # stride 3, even K, no padding
+    (2, 6, 4, 17, 1, 1, 1, 0),    # 1x1
+])
+def test_conv1d_backward_matches_the_per_tap_rule(B, cin, cout, L, K, stride,
+                                                  dilation, padding):
+    """The kernel gradient is the per-tap transposed-copy GEMM's within
+    the rounding of a reordered sum of n = B * L_out products,
+    2 * n * eps * sum(|g| * |tap|); the input and bias gradients keep
+    their bytes."""
+    rng = np.random.default_rng(B * cin * cout * L)
+    x = rng.standard_normal((B, cin, L))
+    kernel = rng.standard_normal((cout, cin, K))
+    bias = rng.standard_normal(cout)
+    L_out = (L + 2 * padding - dilation * (K - 1) - 1) // stride + 1
+    g = rng.standard_normal((B, cout, L_out))
+
+    def conv(a, k, b):
+        return nc.conv1d(a, k, b, stride, dilation, padding)
+
+    _, (gx, gk, gb) = grads_for(conv, [x, kernel, bias], g)
+    want = ref_conv1d_kernel_grad(x, K, g, stride, dilation, padding)
+    scale = ref_conv1d_kernel_grad(np.abs(x), K, np.abs(g), stride,
+                                   dilation, padding)
+    bound = 2 * B * L_out * np.finfo(np.float64).eps * scale
+    assert (np.abs(gk - want) <= bound).all()
+    last = (L_out - 1) * stride + 1
+    gxp = np.zeros((B, cin, L + 2 * padding))
+    for k in range(K):
+        gxp[:, :, k * dilation:k * dilation + last:stride] += \
+            kernel[:, :, k].T @ g
+    assert gx.tobytes() == gxp[:, :, padding:padding + L].tobytes()
+    assert gb.tobytes() == g.sum(axis=(0, 2)).tobytes()
