@@ -56,11 +56,21 @@ def scale(a: Tensor, c: float) -> Tensor:
     return make_node(a.data * c, (a,), lambda g: accumulate(a, g * c))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1.0 / (1.0 + np.exp(-x))`` in one buffer, with the same bytes."""
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def silu(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    val = a.data * sig
-    return make_node(val, (a,), lambda g: accumulate(
-        a, g * (sig * (1.0 + a.data * (1.0 - sig)))))
+    """``a * sigmoid(a)``; the rule rebuilds the sigmoid from ``a``."""
+    def rule(g):
+        sig = _sigmoid(a.data)
+        accumulate(a, g * (sig * (1.0 + a.data * (1.0 - sig))))
+    val = _sigmoid(a.data)
+    return make_node(np.multiply(a.data, val, out=val), (a,), rule)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -95,9 +105,29 @@ def sqrt(a: Tensor) -> Tensor:
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient passes through the interior only."""
-    mask = (a.data >= lo) & (a.data <= hi)
-    return make_node(np.clip(a.data, lo, hi), (a,),
-                     lambda g: accumulate(a, g * mask))
+    return make_node(np.clip(a.data, lo, hi), (a,), lambda g: accumulate(
+        a, g * ((a.data >= lo) & (a.data <= hi))))
+
+
+def film(y: Tensor, shift: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """FiLM affine ``gamma * (y + shift) + beta`` as one node.
+
+    ``gamma`` and ``beta`` must broadcast to the shape of ``y + shift``,
+    the output's.  The forward and the gradients are the bytes of
+    ``add(mul(gamma, add(y, shift)), beta)``, but the node keeps no
+    intermediate: the rule rebuilds ``y + shift`` from its inputs.
+    """
+    val = y.data + shift.data
+    np.multiply(gamma.data, val, out=val)
+    val += beta.data
+
+    def rule(g):
+        accumulate(gamma, g * (y.data + shift.data))
+        accumulate(beta, g)
+        gy = g * gamma.data
+        accumulate(y, gy)
+        accumulate(shift, gy)
+    return make_node(val, (y, shift, gamma, beta), rule)
 
 
 def huber(a: Tensor) -> Tensor:
@@ -176,14 +206,16 @@ def _extreme(a: Tensor, axes, keepdims: bool, mode: str) -> Tensor:
     perm = kept + axes
     moved = np.transpose(a.data, perm)
     outer_shape = moved.shape[: len(kept)]
+    # a copy when the reduced axes are not trailing: the rule keeps its shape
     flat = moved.reshape(outer_shape + (-1,))
     idx = np.argmax(flat, axis=-1) if mode == "max" else np.argmin(flat, axis=-1)
     vals = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    flat_shape = flat.shape
 
     def rule(g):
         if keepdims:
             g = g.reshape(outer_shape)
-        gflat = np.zeros_like(flat)
+        gflat = np.zeros(flat_shape, a.data.dtype)
         np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
         gmoved = gflat.reshape(moved.shape)
         accumulate(a, np.transpose(gmoved, np.argsort(perm)))
@@ -239,13 +271,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"bias {bias.shape}"
         )
 
-    xd = x.data.astype(weight.data.dtype, copy=False)
+    def xd():
+        # a copy only when x's dtype differs from the weight's
+        return x.data.astype(weight.data.dtype, copy=False)
 
     def rule(g):
         accumulate(x, g @ weight.data)
-        accumulate(weight, g.T @ xd)
+        accumulate(weight, g.T @ xd())
         accumulate(bias, g.sum(axis=0))
-    return make_node(xd @ weight.data.T + bias.data, (x, weight, bias), rule)
+    return make_node(xd() @ weight.data.T + bias.data, (x, weight, bias), rule)
 
 
 def conv1d(
@@ -292,10 +326,9 @@ def conv1d(
     L_out = (L + 2 * padding - span) // stride + 1
     last = (L_out - 1) * stride + 1
 
-    xd = x.data.astype(kernel.data.dtype, copy=False)
-
     def taps():
-        xp = xd
+        # x in the kernel's dtype (a copy only when the dtypes differ)
+        xp = xd = x.data.astype(kernel.data.dtype, copy=False)
         if padding:
             xp = np.zeros((B, cin, L + 2 * padding), xd.dtype)
             xp[:, :, padding:padding + L] = xd
@@ -337,6 +370,9 @@ def groupnorm(
     whose backward is the closed form (Wu & He 2018) with
     ``dn = dout * gamma``:
     ``dx = inv * (dn - mean(dn) - normed * mean(dn * normed))``.
+    The node keeps only the per-group ``mean`` and ``inv`` ([B, G, 1]);
+    the rule rebuilds ``normed`` from ``x`` with the forward's operations,
+    so it is the forward's bytes.
     """
     if x.ndim != 3:
         raise DimensionError(f"groupnorm expects [B,C,L], got {x.shape}")
@@ -347,10 +383,10 @@ def groupnorm(
         raise DimensionError("gamma/beta must have shape [C]")
     shape = (B, groups, (C // groups) * L)
     grouped = x.data.reshape(shape)
+    mean = grouped.mean(axis=2, keepdims=True)
     # two [B, C, L] buffers serve the five elementwise passes
     val = np.empty((B, C, L), dtype=x.data.dtype)
-    centered = np.subtract(grouped, grouped.mean(axis=2, keepdims=True),
-                           out=val.reshape(shape))
+    centered = np.subtract(grouped, mean, out=val.reshape(shape))
     normed = np.multiply(centered, centered)
     var = normed.mean(axis=2, keepdims=True)
     inv = np.exp(np.log(var + eps) * -0.5)
@@ -359,6 +395,8 @@ def groupnorm(
     val += beta.data.reshape(1, C, 1)
 
     def rule(g):
+        normed = np.subtract(x.data.reshape(shape), mean)
+        normed *= inv
         tmp = g * normed.reshape(B, C, L)
         accumulate(gamma, tmp.sum(axis=(0, 2)))
         accumulate(beta, g.sum(axis=(0, 2)))

@@ -14,6 +14,13 @@ gradchecks).  A gradient is accumulated in its tensor's dtype.
 An operation states only its gradient rule: :func:`make_node` takes
 ``rule(g)``, which adds the input gradients for an output gradient ``g``,
 and is the one place that knows how a node stores and runs it.
+
+Memory contract: what a graph keeps between forward and backward is its
+nodes' data plus what their rules hold.  A rule may hold its inputs, its
+own output array and reduced statistics (a group norm's per-group mean and
+inverse deviation); anything else of input size it rebuilds from those
+when it runs.  Rules read their inputs' ``data`` at backward time, so no
+code writes into a tensor's ``data`` after a node has read it.
 """
 from __future__ import annotations
 
@@ -181,6 +188,9 @@ def make_node(data: np.ndarray, inputs: tuple[Tensor, ...], rule):
 
     ``rule(g)`` adds the inputs' gradients for the output gradient ``g``
     (through :func:`accumulate`) and must not refer to the output tensor.
+    It may hold the inputs, ``data`` and reduced statistics, and rebuilds
+    any other array of input size when it runs; it reads the inputs'
+    ``data`` then, so nothing may write into them in between.
     The node stores ``partial(_bind, rule)`` as ``_backward``, and the
     sweep calls ``node._backward(node)()``, which binds ``node.grad`` only
     then.  So a node never holds a closure referencing itself: finished

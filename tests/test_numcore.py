@@ -134,6 +134,21 @@ def test_huber_values_and_gradient():
     check_grads(lambda a: nc.rsum(nc.huber(a)), [rand(rng, 2, 7)])
 
 
+# ---------------------------------------------------------------------- film
+
+
+@pytest.mark.parametrize("shift_rows", [3, 1])
+def test_film_gradients(shift_rows):
+    """A [B, c, 1] shift (or a [1, c, 1] one that every row shares)
+    broadcasts over L; gamma and beta differ per row."""
+    rng = np.random.default_rng(71 + shift_rows)
+    w = Tensor(rng.normal(size=(3, 4, 6)))
+    for _ in range(20):
+        check_grads(lambda y, s, g, b: nc.rsum(nc.mul(nc.film(y, s, g, b), w)),
+                    [rand(rng, 3, 4, 6), rand(rng, shift_rows, 4, 1),
+                     rand(rng, 3, 4, 6), rand(rng, 3, 4, 6)])
+
+
 # --------------------------------------------------------------- reductions
 
 
@@ -455,6 +470,7 @@ def every_op_terms(leaf):
         "sqrt": nc.sqrt(x),
         "clamp": nc.clamp(x, 0.8, 1.2),
         "huber": nc.huber(x),
+        "film": nc.film(x, leaf(2, 4, 1), leaf(2, 4, 8), leaf(2, 4, 8)),
         "reshape": nc.reshape(x, (8, 8)),
         "rsum": nc.rsum(x, axes=2, keepdims=True),
         "rmean": nc.rmean(x, axes=(0, 2)),
@@ -576,3 +592,94 @@ def test_unswept_graph_frees_by_refcount_alone():
         assert loss._prev
 
     assert not _leaked_tensors(build)
+
+
+# ---------------------------------------------------------- memory contract
+
+
+def _held_arrays(rule) -> list:
+    """Every ndarray a rule closure holds: in its cells, in the cells of
+    the functions it calls through them, and inside held tuples and lists."""
+    held, seen = [], set()
+    stack = [cell.cell_contents for cell in rule.__closure__ or ()]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            held.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in value.__closure__)
+    return held
+
+
+def assert_rules_hold_nothing_rebuildable(root):
+    """No node's rule holds an array as large as its largest input unless
+    the array is (a view of) an input's or the node's own data; the
+    read-only positions ``resample_linear`` caches are shared, not held."""
+    from vampdiff.numcore.tensor import _toposort
+
+    for node in _toposort(root):
+        if not node._prev:
+            continue
+        rule = node._backward.args[0]  # make_node stores partial(_bind, rule)
+        size = max(t.data.size for t in node._prev)
+        owned = [t.data for t in node._prev] + [node.data]
+        for arr in _held_arrays(rule):
+            if arr.size < size or not arr.flags.writeable:
+                continue
+            assert any(np.shares_memory(arr, d) for d in owned), (
+                f"{rule.__qualname__} holds a {arr.shape} {arr.dtype} array "
+                f"for inputs {[t.shape for t in node._prev]}")
+
+
+@pytest.mark.parametrize("op", OPS + ["rsum_slice"])
+def test_rules_hold_only_inputs_outputs_and_statistics(op):
+    rng = np.random.default_rng(0)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=True)
+
+    assert_rules_hold_nothing_rebuildable(every_op_terms(leaf)[op])
+
+
+def test_rules_hold_no_copy_of_their_input():
+    """conv1d and linear cast a float32 input to their float64 weights'
+    dtype, and a reduction over axes that are not trailing flattens a
+    transposed copy; no rule keeps either copy."""
+    rng = np.random.default_rng(0)
+    x32 = Tensor(rng.normal(size=(2, 3, 8)).astype(np.float32),
+                 requires_grad=True)
+    x = rand(rng, 2, 4, 8)
+    for root in (nc.conv1d(x32, rand(rng, 4, 3, 3), rand(rng, 4), padding=1),
+                 nc.linear(nc.reshape(x32, (6, 8)), rand(rng, 5, 8),
+                           rand(rng, 5)),
+                 nc.rmax(x, axes=(0, 2)),
+                 nc.rmin(x, axes=(0, 2), keepdims=True)):
+        assert_rules_hold_nothing_rebuildable(root)
+
+
+def test_silu_of_groupnorm_keeps_two_activations():
+    """After the forward of silu(groupnorm(x)) the graph holds the two
+    node outputs and groupnorm's [B, G, 1] mean and inv, nothing more: no
+    sigmoid, no normalized copy."""
+    import tracemalloc
+
+    B, C, L, G = 16, 8, 768, 4
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(B, C, L)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=C), requires_grad=True)
+    beta = Tensor(rng.normal(size=C), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = nc.silu(nc.groupnorm(x, G, gamma, beta))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stats = 2 * B * G * x.data.itemsize
+    # 16 KiB covers the Tensor objects, closures and array headers
+    assert held <= 2 * x.data.nbytes + stats + 16384, held
+    assert out.shape == x.shape

@@ -11,6 +11,11 @@ goes instead of keeping the whole graph. The groupnorm forward and the
 leaf gradients the new sweep gives a training step must be exactly the
 old ones; the groupnorm gradients may move in the last few bits.
 
+``silu`` and ``groupnorm`` rebuild the sigmoid and the normalized input in
+their rules instead of keeping them, and the U-Net's FiLM affine is one
+``film`` node instead of ``add``, ``mul`` and ``add``. Outputs and
+gradients must be exactly the old ones.
+
 ``_average_ranks``, ``auprc`` and ``tpr_at_fpr`` take their tie groups from
 one ``np.unique`` sort instead of scanning sorted runs in Python loops.
 Each must give exactly the old floats, ties and ``-0.0`` included.
@@ -27,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vampdiff import evaluation as ev
@@ -53,7 +58,7 @@ from vampdiff.numcore import (
     square,
     sub,
 )
-from vampdiff.numcore.tensor import _toposort
+from vampdiff.numcore.tensor import _toposort, accumulate, make_node
 from vampdiff.train import make_optimizer, train_step
 
 # ----------------------------------------------------------------------
@@ -180,6 +185,46 @@ def ref_groupnorm(x, groups, gamma, beta, eps=1e-5):
     g = reshape(gamma, (1, C, 1))
     b = reshape(beta, (1, C, 1))
     return add(mul(normed, g), b)
+
+
+def ref_silu_keeping_sig(a):
+    sig = 1.0 / (1.0 + np.exp(-a.data))
+    val = a.data * sig
+    return make_node(val, (a,), lambda g: accumulate(
+        a, g * (sig * (1.0 + a.data * (1.0 - sig)))))
+
+
+def ref_groupnorm_keeping_normed(x, groups, gamma, beta, eps=1e-5):
+    B, C, L = x.shape
+    shape = (B, groups, (C // groups) * L)
+    grouped = x.data.reshape(shape)
+    val = np.empty((B, C, L), dtype=x.data.dtype)
+    centered = np.subtract(grouped, grouped.mean(axis=2, keepdims=True),
+                           out=val.reshape(shape))
+    normed = np.multiply(centered, centered)
+    var = normed.mean(axis=2, keepdims=True)
+    inv = np.exp(np.log(var + eps) * -0.5)
+    np.multiply(centered, inv, out=normed)  # [B, G, n]
+    np.multiply(normed.reshape(B, C, L), gamma.data.reshape(1, C, 1), out=val)
+    val += beta.data.reshape(1, C, 1)
+
+    def rule(g):
+        tmp = g * normed.reshape(B, C, L)
+        accumulate(gamma, tmp.sum(axis=(0, 2)))
+        accumulate(beta, g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            gn = (g * gamma.data.reshape(1, C, 1)).reshape(shape)
+            tmp = np.multiply(gn, normed, out=tmp.reshape(shape))
+            m = tmp.mean(axis=2, keepdims=True)
+            gn -= gn.mean(axis=2, keepdims=True)
+            gn -= np.multiply(normed, m, out=tmp)
+            gn *= inv
+            accumulate(x, gn.reshape(B, C, L))
+    return make_node(val, (x, gamma, beta), rule)
+
+
+def ref_film_chain(y, shift, gamma, beta):
+    return add(mul(gamma, add(y, shift)), beta)
 
 
 def ref_backward(root):
@@ -388,6 +433,8 @@ def test_forward_diffuse_checks_every_t(t):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
        st.integers(1, 16), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+# two samples 0.0125 apart in a group: var ~ eps and inv = 142.9
+@example(B=1, groups=2, per_group=1, L=2, spread=36.0, seed=92)
 def test_groupnorm_matches_composite(B, groups, per_group, L, spread, seed):
     C = groups * per_group
     rng = np.random.default_rng(seed)
@@ -402,7 +449,19 @@ def test_groupnorm_matches_composite(B, groups, per_group, L, spread, seed):
         results.append((out.data, [t.grad for t in ts]))
     (got, got_grads), (want, want_grads) = results
     assert np.array_equal(got, want)
-    for g_new, g_old in zip(got_grads, want_grads):
+    # dx = inv * (dn - mean(dn) - normed * mean(dn * normed)) subtracts
+    # terms of size inv * |dn| per group, so both sides carry a rounding
+    # error relative to the largest of them, not to dx
+    sig = 1.0 / (1.0 + np.exp(-want))
+    dn = w * sig * (1.0 + want * (1.0 - sig)) * gamma[:, None]
+    grouped = x.reshape(B, groups, -1)
+    inv = 1.0 / np.sqrt(grouped.var(axis=2, keepdims=True) + 1e-5)
+    cancelled = np.abs(inv * dn.reshape(grouped.shape)).max(axis=2,
+                                                            keepdims=True)
+    atol = np.broadcast_to(1e-12 * cancelled, grouped.shape).reshape(B, C, L)
+    gx, want_gx = got_grads[0], want_grads[0]
+    assert np.all(np.abs(gx - want_gx) <= atol + 1e-12 * np.abs(want_gx))
+    for g_new, g_old in zip(got_grads[1:], want_grads[1:]):
         np.testing.assert_allclose(g_new, g_old, rtol=1e-12, atol=1e-12)
 
 
@@ -442,6 +501,76 @@ def test_release_sweep_matches_keep_everything_sweep(monkeypatch):
         train_step(model, opt, x0, epoch, np.random.default_rng(epoch))
     # the unfrozen step's graph also holds the encoder and the KL
     assert len(swept) == 2 and 100 < swept[0] < swept[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 16), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_rebuilt_activations_give_the_stored_ones_bytes(B, groups, per_group,
+                                                        L, spread, seed):
+    """silu and groupnorm rebuild in their rules what they once stored;
+    outputs and gradients keep their bytes."""
+    C = groups * per_group
+    rng = np.random.default_rng(seed)
+    arrays = (spread * rng.standard_normal((B, C, L)) + rng.standard_normal(),
+              rng.standard_normal(C), rng.standard_normal(C))
+    w = Tensor(rng.standard_normal((B, C, L)))
+    results = []
+    for gn, silu in ((nc.groupnorm, nc.silu),
+                     (ref_groupnorm_keeping_normed, ref_silu_keeping_sig)):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = silu(gn(ts[0], groups, ts[1], ts[2]))
+        nc.rsum(mul(out, w)).backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in ts])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shift_rows", [3, 1])
+def test_film_is_the_bytes_of_the_add_mul_add_chain(shift_rows, dtype):
+    rng = np.random.default_rng(73 + shift_rows)
+    arrays = [rng.normal(size=s).astype(dtype) for s in
+              ((3, 4, 6), (shift_rows, 4, 1), (3, 4, 6), (3, 4, 6))]
+    g = rng.normal(size=(3, 4, 6)).astype(dtype)
+    results = []
+    for op in (nc.film, ref_film_chain):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        nc.rsum(nc.mul(out, Tensor(g))).backward()
+        results.append([out.data.tobytes()]
+                       + [t.grad.tobytes() for t in leaves])
+    assert results[0] == results[1]
+
+
+def test_film_node_gives_the_add_mul_add_chains_gradients(monkeypatch):
+    """Leaf gradients of frozen and KL-active training steps are the same
+    bytes with the U-Net's one FiLM node as with the old three nodes."""
+    import vampdiff.model.unet as unet
+
+    cfg = desk_config(window_len=64, latent_len=16, latent_channels=4,
+                      pooled_len=8, width_factor=0.0625, pseudo_inputs=3,
+                      epochs=3, batch_size=2, freeze_epochs=1,
+                      beta_floor_until=2, beta_ramp_until=3)
+    x0 = np.random.default_rng(1).standard_normal((2, 1, 64))
+    sweep = Tensor.backward
+    runs = []
+    for film in (unet.film, ref_film_chain):
+        monkeypatch.setattr(unet, "film", film)
+        model = VampDiffModel(cfg, rng=np.random.default_rng(0))
+        opt = make_optimizer(model, cfg)
+        grads = []
+
+        def capture(root):
+            sweep(root)
+            grads.append([p.grad.tobytes() for _, p in model.named_params()
+                          if p.grad is not None])
+
+        monkeypatch.setattr(Tensor, "backward", capture)
+        for epoch in (1, 2):
+            train_step(model, opt, x0, epoch, np.random.default_rng(epoch))
+        monkeypatch.setattr(Tensor, "backward", sweep)
+        runs.append(grads)
+    assert len(runs[0]) == 2 and runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------
