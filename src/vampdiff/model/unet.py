@@ -15,7 +15,7 @@ from ..numcore import (
     DimensionError,
     Tensor,
     add,
-    film,
+    mul,
     reshape,
     resample_linear,
     silu,
@@ -88,7 +88,8 @@ class UNet(ParamModule):
         c = h.shape[1]
         y = self.conv(f"{name}.conv_a", silu(self.norm(f"{name}.gn_a", h)))
         tproj = self.linear(f"{name}.tproj", temb)
-        y = film(y, reshape(tproj, (tproj.shape[0], c, 1)), gamma, beta)
+        y = add(y, reshape(tproj, (tproj.shape[0], c, 1)))
+        y = add(mul(gamma, y), beta)
         y = self.conv(f"{name}.conv_b", silu(self.norm(f"{name}.gn_b", y)))
         return add(h, y)
 

@@ -109,27 +109,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
         a, g * ((a.data >= lo) & (a.data <= hi))))
 
 
-def film(y: Tensor, shift: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """FiLM affine ``gamma * (y + shift) + beta`` as one node.
-
-    ``gamma`` and ``beta`` must broadcast to the shape of ``y + shift``,
-    the output's.  The forward and the gradients are the bytes of
-    ``add(mul(gamma, add(y, shift)), beta)``, but the node keeps no
-    intermediate: the rule rebuilds ``y + shift`` from its inputs.
-    """
-    val = y.data + shift.data
-    np.multiply(gamma.data, val, out=val)
-    val += beta.data
-
-    def rule(g):
-        accumulate(gamma, g * (y.data + shift.data))
-        accumulate(beta, g)
-        gy = g * gamma.data
-        accumulate(y, gy)
-        accumulate(shift, gy)
-    return make_node(val, (y, shift, gamma, beta), rule)
-
-
 def huber(a: Tensor) -> Tensor:
     """Elementwise SmoothL1: 0.5*x^2 for |x| < 1, |x| - 0.5 otherwise."""
     absa = np.abs(a.data)
@@ -206,16 +185,14 @@ def _extreme(a: Tensor, axes, keepdims: bool, mode: str) -> Tensor:
     perm = kept + axes
     moved = np.transpose(a.data, perm)
     outer_shape = moved.shape[: len(kept)]
-    # a copy when the reduced axes are not trailing: the rule keeps its shape
     flat = moved.reshape(outer_shape + (-1,))
     idx = np.argmax(flat, axis=-1) if mode == "max" else np.argmin(flat, axis=-1)
     vals = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    flat_shape = flat.shape
 
     def rule(g):
         if keepdims:
             g = g.reshape(outer_shape)
-        gflat = np.zeros(flat_shape, a.data.dtype)
+        gflat = np.zeros_like(flat)
         np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
         gmoved = gflat.reshape(moved.shape)
         accumulate(a, np.transpose(gmoved, np.argsort(perm)))
@@ -271,15 +248,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"bias {bias.shape}"
         )
 
-    def xd():
-        # a copy only when x's dtype differs from the weight's
-        return x.data.astype(weight.data.dtype, copy=False)
+    xd = x.data.astype(weight.data.dtype, copy=False)
 
     def rule(g):
         accumulate(x, g @ weight.data)
-        accumulate(weight, g.T @ xd())
+        accumulate(weight, g.T @ xd)
         accumulate(bias, g.sum(axis=0))
-    return make_node(xd() @ weight.data.T + bias.data, (x, weight, bias), rule)
+    return make_node(xd @ weight.data.T + bias.data, (x, weight, bias), rule)
 
 
 def conv1d(
@@ -326,9 +301,10 @@ def conv1d(
     L_out = (L + 2 * padding - span) // stride + 1
     last = (L_out - 1) * stride + 1
 
+    xd = x.data.astype(kernel.data.dtype, copy=False)
+
     def taps():
-        # x in the kernel's dtype (a copy only when the dtypes differ)
-        xp = xd = x.data.astype(kernel.data.dtype, copy=False)
+        xp = xd
         if padding:
             xp = np.zeros((B, cin, L + 2 * padding), xd.dtype)
             xp[:, :, padding:padding + L] = xd

@@ -19,8 +19,12 @@ Memory contract: what a graph keeps between forward and backward is its
 nodes' data plus what their rules hold.  A rule may hold its inputs, its
 own output array and reduced statistics (a group norm's per-group mean and
 inverse deviation); anything else of input size it rebuilds from those
-when it runs.  Rules read their inputs' ``data`` at backward time, so no
-code writes into a tensor's ``data`` after a node has read it.
+when it runs.  Two copies no training step makes are the exception:
+conv1d and linear keep ``x`` cast to their weights' dtype when the dtypes
+differ, and a max or min over axes that are not trailing keeps the
+transposed input it reduced.  Rules read their inputs' ``data`` at
+backward time, so no code writes into a tensor's ``data`` after a node
+has read it.
 """
 from __future__ import annotations
 

@@ -12,9 +12,8 @@ leaf gradients the new sweep gives a training step must be exactly the
 old ones; the groupnorm gradients may move in the last few bits.
 
 ``silu`` and ``groupnorm`` rebuild the sigmoid and the normalized input in
-their rules instead of keeping them, and the U-Net's FiLM affine is one
-``film`` node instead of ``add``, ``mul`` and ``add``. Outputs and
-gradients must be exactly the old ones.
+their rules instead of keeping them. Outputs and gradients must be
+exactly the old ones.
 
 ``_average_ranks``, ``auprc`` and ``tpr_at_fpr`` take their tie groups from
 one ``np.unique`` sort instead of scanning sorted runs in Python loops.
@@ -221,10 +220,6 @@ def ref_groupnorm_keeping_normed(x, groups, gamma, beta, eps=1e-5):
             gn *= inv
             accumulate(x, gn.reshape(B, C, L))
     return make_node(val, (x, gamma, beta), rule)
-
-
-def ref_film_chain(y, shift, gamma, beta):
-    return add(mul(gamma, add(y, shift)), beta)
 
 
 def ref_backward(root):
@@ -523,54 +518,6 @@ def test_rebuilt_activations_give_the_stored_ones_bytes(B, groups, per_group,
         nc.rsum(mul(out, w)).backward()
         results.append([out.data.tobytes()] + [t.grad.tobytes() for t in ts])
     assert results[0] == results[1]
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("shift_rows", [3, 1])
-def test_film_is_the_bytes_of_the_add_mul_add_chain(shift_rows, dtype):
-    rng = np.random.default_rng(73 + shift_rows)
-    arrays = [rng.normal(size=s).astype(dtype) for s in
-              ((3, 4, 6), (shift_rows, 4, 1), (3, 4, 6), (3, 4, 6))]
-    g = rng.normal(size=(3, 4, 6)).astype(dtype)
-    results = []
-    for op in (nc.film, ref_film_chain):
-        leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        out = op(*leaves)
-        nc.rsum(nc.mul(out, Tensor(g))).backward()
-        results.append([out.data.tobytes()]
-                       + [t.grad.tobytes() for t in leaves])
-    assert results[0] == results[1]
-
-
-def test_film_node_gives_the_add_mul_add_chains_gradients(monkeypatch):
-    """Leaf gradients of frozen and KL-active training steps are the same
-    bytes with the U-Net's one FiLM node as with the old three nodes."""
-    import vampdiff.model.unet as unet
-
-    cfg = desk_config(window_len=64, latent_len=16, latent_channels=4,
-                      pooled_len=8, width_factor=0.0625, pseudo_inputs=3,
-                      epochs=3, batch_size=2, freeze_epochs=1,
-                      beta_floor_until=2, beta_ramp_until=3)
-    x0 = np.random.default_rng(1).standard_normal((2, 1, 64))
-    sweep = Tensor.backward
-    runs = []
-    for film in (unet.film, ref_film_chain):
-        monkeypatch.setattr(unet, "film", film)
-        model = VampDiffModel(cfg, rng=np.random.default_rng(0))
-        opt = make_optimizer(model, cfg)
-        grads = []
-
-        def capture(root):
-            sweep(root)
-            grads.append([p.grad.tobytes() for _, p in model.named_params()
-                          if p.grad is not None])
-
-        monkeypatch.setattr(Tensor, "backward", capture)
-        for epoch in (1, 2):
-            train_step(model, opt, x0, epoch, np.random.default_rng(epoch))
-        monkeypatch.setattr(Tensor, "backward", sweep)
-        runs.append(grads)
-    assert len(runs[0]) == 2 and runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------
